@@ -23,14 +23,19 @@ The ``obs`` section is a compact :func:`repro.obs.snapshot` of the
 benchmarking process at recording time — non-zero samples only — so
 every ``BENCH_*.json`` doubles as a workload profile (cache hit rates,
 GC volume, spill traffic) next to its headline numbers.
+
+:func:`measure` is the shared A/B timing method for ratio gates: it
+runs both sides alternately and compares medians, so a gate does not
+flake when the host slows down between two back-to-back blocks.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
-from typing import Union
+from typing import Callable, Tuple, Union
 
 _COMMIT: Union[str, None] = None
 
@@ -119,3 +124,30 @@ def record_metric(bench: str, name: str, value, unit: str) -> str:
         json.dump(doc, fileobj, indent=2)
         fileobj.write("\n")
     return path
+
+
+def measure(
+    a: Callable[[], float], b: Callable[[], float], rounds: int
+) -> Tuple[float, float, float]:
+    """Time ``a`` and ``b`` in alternation; returns medians and their ratio.
+
+    Each callable runs one timed pass and returns its own elapsed
+    seconds (so set-up work can stay outside the timed region).  The
+    two sides alternate for ``rounds`` rounds, and the side that goes
+    first swaps every round, so host drift hits both sides alike.
+    Returns ``(median_a, median_b, ratio)`` where ``ratio`` is the
+    median over rounds of ``b / a`` — each round's pair ran back to
+    back under the same host conditions, which keeps the ratio steady
+    when a busy host shifts whole blocks of samples.
+    """
+    times_a = []
+    times_b = []
+    for i in range(rounds):
+        if i % 2:
+            times_b.append(b())
+            times_a.append(a())
+        else:
+            times_a.append(a())
+            times_b.append(b())
+    ratio = statistics.median(tb / ta for ta, tb in zip(times_a, times_b))
+    return statistics.median(times_a), statistics.median(times_b), ratio

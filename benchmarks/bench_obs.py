@@ -7,9 +7,12 @@ one flag check on the hot path):
   cost added by instrumentation is a counter bump plus a flag read.
   That extra work is micro-benchmarked directly and must stay under 1%
   of the mean apply time of the reference workload.
-* **enabled**: with tracing on, the same apply workload (min over
-  repeats, computed tables cleared per round so applies do real work)
-  must run within 5% of the disabled time.
+* **enabled**: with tracing on, the same apply workload (computed
+  tables cleared per pass so applies do real work) must run within 5%
+  of the disabled time.  Traced and untraced passes alternate and the
+  gate takes the median of the per-round traced/untraced ratios
+  (:func:`_metrics.measure`), so host drift between the two sides does
+  not decide the outcome.
 
 Both gates record to ``BENCH_obs.json`` so the overhead trajectory is
 tracked alongside the other benches.
@@ -19,13 +22,13 @@ import time
 
 import pytest
 
-from _metrics import record_metric
+from _metrics import measure, record_metric
 from repro.circuits import mcnc
-from repro.network.build import build_bbdd
+from repro.network.build import build
 from repro.obs import trace
 
-#: Timed rounds per configuration; the gate uses the minimum.
-_ROUNDS = 5
+#: Alternating rounds per side; the gate compares the medians.
+_ROUNDS = 41
 
 
 def _workload():
@@ -35,25 +38,35 @@ def _workload():
     orders of magnitude above the per-apply span-record cost, so the
     5% gate measures instrumentation, not noise floor.
     """
-    manager, fns = build_bbdd(mcnc.alu4())
+    manager, fns = build(mcnc.alu4(), backend="bbdd")
     edges = [f.edge for f in fns.values()]
     pairs = [(edges[i], edges[(i + 3) % len(edges)]) for i in range(len(edges))]
     return manager, pairs
 
 
 def _time_applies(manager, pairs) -> float:
-    """Seconds for one full pass (cache cleared so applies recompute)."""
+    """CPU seconds of one full pass (cache cleared so applies recompute).
+
+    Thread CPU time rather than wall time: on a shared host the wall
+    clock also counts the time this thread waits for a core, which is
+    noise for an instrumentation-cost gate.
+    """
     from repro.core.operations import OP_XOR
 
     manager.clear_cache()
-    start = time.perf_counter()
+    start = time.thread_time()
     for f, g in pairs:
         manager.apply_edges(f, g, OP_XOR)
-    return time.perf_counter() - start
+    return time.thread_time() - start
 
 
-def _min_time(manager, pairs, rounds: int = _ROUNDS) -> float:
+def _min_time(manager, pairs, rounds: int = 5) -> float:
     return min(_time_applies(manager, pairs) for _ in range(rounds))
+
+
+def _traced_time_applies(manager, pairs) -> float:
+    with trace.tracing():
+        return _time_applies(manager, pairs)
 
 
 def _flag_path_cost_ns(samples: int = 200_000) -> float:
@@ -93,35 +106,37 @@ def test_obs_overhead_gates(benchmark):
     # Warm-up pass: populate unique tables and fault in code paths.
     _time_applies(manager, pairs)
 
-    disabled = benchmark.pedantic(
-        lambda: _min_time(manager, pairs), rounds=1, iterations=1
+    disabled, enabled, ratio = benchmark.pedantic(
+        lambda: measure(
+            lambda: _time_applies(manager, pairs),
+            lambda: _traced_time_applies(manager, pairs),
+            _ROUNDS,
+        ),
+        rounds=1,
+        iterations=1,
     )
-    with trace.tracing():
-        enabled = _min_time(manager, pairs)
 
-    mean_apply_s = disabled / len(pairs)
+    mean_apply_s = _min_time(manager, pairs) / len(pairs)
     flag_ns = min(_flag_path_cost_ns() for _ in range(3))
     flag_fraction = (flag_ns * 1e-9) / mean_apply_s
 
     record_metric("obs", "apply_pass_disabled_s", disabled, "s")
     record_metric("obs", "apply_pass_traced_s", enabled, "s")
-    record_metric(
-        "obs", "traced_overhead_pct", 100.0 * (enabled / disabled - 1.0), "%"
-    )
+    record_metric("obs", "traced_overhead_pct", 100.0 * (ratio - 1.0), "%")
     record_metric("obs", "disabled_path_cost_ns", flag_ns, "ns/apply")
     record_metric(
         "obs", "disabled_path_cost_pct", 100.0 * flag_fraction, "%"
     )
-    benchmark.extra_info["traced_over_disabled"] = enabled / disabled
+    benchmark.extra_info["traced_over_disabled"] = ratio
     benchmark.extra_info["disabled_path_ns"] = flag_ns
 
     assert flag_fraction < 0.01, (
         f"disabled-path instrumentation costs {flag_ns:.1f} ns/apply — "
         f"{100 * flag_fraction:.2f}% of a {mean_apply_s * 1e6:.1f} µs apply"
     )
-    assert enabled <= disabled * 1.05, (
+    assert ratio <= 1.05, (
         f"tracing-enabled pass {enabled:.4f}s vs disabled {disabled:.4f}s "
-        f"({100 * (enabled / disabled - 1):.1f}% > 5%)"
+        f"(median per-round overhead {100 * (ratio - 1):.1f}% > 5%)"
     )
 
 

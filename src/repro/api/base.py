@@ -250,10 +250,7 @@ class DDManager:
         ``abs(ref) == 1`` the sink) in one **global topological order**
         — children strictly after parents across all roots — and
         ``roots`` mapping each name to its signed root reference
-        (``±1`` for constants).  Forests holding chain-reduced parity
-        spans add a fifth column ``bot``: ``bot[i] >= 0`` marks a span
-        whose partner run is the contiguous order positions from
-        ``sv[i]`` down to ``bot[i]`` (``-1`` everywhere else).
+        (``±1`` for constants).
 
         This default builds on :meth:`batch_stream`: backends without a
         structural level stream return None, and shared-memory callers
@@ -323,25 +320,14 @@ class DDManager:
         ids: Dict[object, int] = {}
         pv = [0, 0]
         sv = [-1, -1]
-        bot = [-1, -1]
         t = [0, 0]
         f = [0, 0]
-        has_span = False
         for key in reversed(order):
             ids[key] = 2 + len(ids)
         for key in reversed(order):
             _key, pvv, svv, t_key, t_flip, _tpv, f_key, f_flip, _fpv = infos[key]
             pv.append(pvv)
-            if type(svv) is tuple:
-                # Parity span: the item's sv slot is the tuple of
-                # partner variables (a contiguous order-position run),
-                # frozen as its first/last endpoints.
-                sv.append(svv[0])
-                bot.append(svv[-1])
-                has_span = True
-            else:
-                sv.append(-1 if svv is None else svv)
-                bot.append(-1)
+            sv.append(-1 if svv is None else svv)
             t_ref = 1 if t_key is None else ids[t_key]
             t.append(-t_ref if t_flip else t_ref)
             f_ref = 1 if f_key is None else ids[f_key]
@@ -353,7 +339,7 @@ class DDManager:
             else:
                 key, attr = node_roots[name]
                 roots[name] = -ids[key] if attr else ids[key]
-        out = {
+        return {
             "kind": self.backend,
             "pv": pv,
             "sv": sv,
@@ -361,9 +347,6 @@ class DDManager:
             "f": f,
             "roots": roots,
         }
-        if has_span:
-            out["bot"] = bot
-        return out
 
     def satisfiable_batch_edges(self, edge, batch):
         """Batched cube satisfiability (see :func:`repro.serve.bulk.satisfiable_batch`).
@@ -519,34 +502,11 @@ def rebuild_function(manager, root, var_fn, target, memo=None):
             continue
         stack.pop()
         if bbdd_nodes:
+            d = true if top.neq.is_sink else memo[top.neq]
+            if top.neq_attr:
+                d = ~d
             e = true if top.eq.is_sink else memo[top.eq]
-            if top.is_span:
-                # Chain span (pv, sv:bot): f = eq xor pv xor sv ... xor bot
-                # over every order position of the span (the != child is
-                # the complemented = child, so only ``e`` is needed).
-                order = manager.order
-                x = var_fn(top.pv)
-                for p in range(
-                    order.position(top.sv), order.position(top.bot) + 1
-                ):
-                    x = ~x.xnor(var_fn(order.var_at(p)))
-                memo[top] = ~e.xnor(x)
-            else:
-                d = true if top.neq.is_sink else memo[top.neq]
-                if top.neq_attr:
-                    d = ~d
-                memo[top] = var_fn(top.pv).xnor(var_fn(top.sv)).ite(e, d)
-        elif getattr(top, "is_span", False):
-            # Parity span <var:bot>: f = (var xor ... xor bot) XNOR then
-            # (the else-child is the complemented then-child).
-            order = manager.order
-            x = var_fn(top.var)
-            for p in range(
-                order.position(top.var) + 1, order.position(top.bot) + 1
-            ):
-                x = ~x.xnor(var_fn(order.var_at(p)))
-            t = true if top.then.is_sink else memo[top.then]
-            memo[top] = x.xnor(t)
+            memo[top] = var_fn(top.pv).xnor(var_fn(top.sv)).ite(e, d)
         else:
             t = true if top.then.is_sink else memo[top.then]
             e = true if top.else_.is_sink else memo[top.else_]

@@ -227,16 +227,11 @@ def _restrict_iter(manager, root: int, var: int, value: bool) -> Edge:
     make = manager._make
     pvl = manager._pv
     svl = manager._sv
-    botl = manager._bot
     neql = manager._neq
     eql = manager._eq
-    span_tail = manager._span_tail
     results: List[Edge] = []
     rpush = results.append
     rpop = results.pop
-    # _CALL frames carry a node index; combine frames carry the virtual
-    # couple ``(pv, sv, d_neg, e_neg)`` instead, so span nodes (whose
-    # stored children are not the couple's children) expand uniformly.
     tasks: List[tuple] = [(_CALL, root, None)]
     tpush = tasks.append
     tpop = tasks.pop
@@ -259,18 +254,10 @@ def _restrict_iter(manager, root: int, var: int, value: bool) -> Edge:
                 insert(key, result)
                 rpush(result)
                 continue
-            if botl[node] != sv:
-                # Span (pv, sv:bot, -T, T): behave as the virtual couple
-                # (pv, sv) over the span tail T.  ``var`` may be pv, sv
-                # or any span middle — the middle case recurses into T,
-                # which mentions it.
-                t = span_tail(node)
-                d, e = -t, t
-            else:
-                d = neql[node]
-                e = eql[node]
             if pv == var:
                 # Children never mention pv: collapse the condition on sv.
+                d = neql[node]
+                e = eql[node]
                 w_lit = manager.literal_edge(sv)
                 result = (
                     ite(manager, w_lit, e, d)
@@ -281,26 +268,24 @@ def _restrict_iter(manager, root: int, var: int, value: bool) -> Edge:
                 rpush(result)
                 continue
             combine = _COMBINE_ITE if sv == var else _COMBINE
-            tpush((combine, (pv, sv, d < 0, e < 0), key))
+            tpush((combine, node, key))
+            d = neql[node]
             tpush((_CALL, -d if d < 0 else d, None))
-            tpush((_CALL, -e if e < 0 else e, None))
+            tpush((_CALL, eql[node], None))
             continue
-        pv, sv, d_neg, e_neg = node
         d2 = rpop()
         e2 = rpop()
-        if d_neg:
+        if neql[node] < 0:
             d2 = -d2
-        if e_neg:
-            e2 = -e2
         if tag == _COMBINE_ITE:
-            v_lit = manager.literal_edge(pv)
+            v_lit = manager.literal_edge(pvl[node])
             result = (
                 ite(manager, v_lit, e2, d2)
                 if value
                 else ite(manager, v_lit, d2, e2)
             )
         else:
-            result = make(pv, sv, d2, e2)
+            result = make(pvl[node], svl[node], d2, e2)
         insert(key, result)
         rpush(result)
     return results[-1]
@@ -362,10 +347,8 @@ def _quantify_iter(manager, edge: Edge, var: int, op: int) -> Edge:
     apply_edges = manager.apply_edges
     pvl = manager._pv
     svl = manager._sv
-    botl = manager._bot
     neql = manager._neq
     eql = manager._eq
-    span_tail = manager._span_tail
     results: List[Edge] = []
     rpush = results.append
     rpop = results.pop
@@ -383,16 +366,8 @@ def _quantify_iter(manager, edge: Edge, var: int, op: int) -> Edge:
             if cached is not None:
                 rpush(cached)
                 continue
-            if svl[node] != SV_ONE and botl[node] != svl[node]:
-                # Span (pv, sv:bot, -T, T): quantify the virtual couple
-                # (pv, sv) whose children are -T / T (span middles live
-                # inside T, so the generic recursion reaches them).
-                t = span_tail(node)
-                d0, e0 = -t, t
-            else:
-                d0, e0 = neql[node], eql[node]
-            d = -d0 if attr else d0
-            e = -e0 if attr else e0
+            d = -neql[node] if attr else neql[node]
+            e = -eql[node] if attr else eql[node]
             if pvl[node] == var:
                 # Children never mention the primary variable, and the
                 # same surviving condition selects both cofactors:

@@ -8,9 +8,7 @@ so the key spaces can never collide.
 
 Two backends remain: the dict-backed cache (the default — packed int
 keys hash natively) and :class:`DisabledComputedTable` for ablation
-runs.  The historical direct-mapped ``"cantor"`` array went away with
-the Cantor hash machinery; the factory accepts the name only as a
-compatibility alias for ``"dict"``.
+runs.
 """
 
 from __future__ import annotations
@@ -77,9 +75,9 @@ class DisabledComputedTable:
         return {"backend": "disabled", "entries": 0, "lookups": self.lookups, "hits": 0}
 
 
-def make_computed_table(backend: str = "dict", **kwargs):
-    """Factory; ``"cantor"`` is a deprecated alias for ``"dict"``."""
-    if backend in ("dict", "cantor"):
+def make_computed_table(backend: str = "dict"):
+    """Factory: ``"dict"`` (the default) or ``"disabled"`` (ablation)."""
+    if backend == "dict":
         return DictComputedTable()
     if backend == "disabled":
         return DisabledComputedTable()

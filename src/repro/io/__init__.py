@@ -20,12 +20,8 @@ The subsystem makes BBDDs durable and portable:
   :class:`~repro.io.migrate.ProtocolMigrator`);
 * :mod:`repro.io.checkpoint` — harness checkpoint store (``--checkpoint``).
 
-Note: the convenience function is exported as :func:`migrate_forest`.
-The historical name ``migrate`` is *not* re-bound here — doing so used
-to shadow the :mod:`repro.io.migrate` submodule, so
-``repro.io.migrate.ProtocolMigrator`` raised ``AttributeError``.
-``repro.io.migrate`` is the module again (and stays callable as a
-deprecated alias of :func:`migrate_forest`).
+The convenience function is exported as :func:`migrate_forest`;
+``repro.io.migrate`` names the module.
 """
 
 from repro.io.bdd_binary import dump as dump_bdd

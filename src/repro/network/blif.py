@@ -193,7 +193,14 @@ _COVERS = {
 
 
 def write_blif(network: LogicNetwork) -> str:
-    """Serialize a network to BLIF text (gates as .names covers)."""
+    """Serialize a network to BLIF text (gates as .names covers).
+
+    BLIF has a single signal namespace, so an output named like an
+    internal wire that carries a *different* signal would read that
+    wire back.  Such wires are written under fresh names and the output
+    is buffered from its own signal.
+    """
+    rename = _output_collisions(network)
     out: List[str] = [f".model {network.name}"]
     latch_states = {state for _data, state, _init in network.latches}
     out.append(
@@ -202,27 +209,45 @@ def write_blif(network: LogicNetwork) -> str:
     )
     out.append(".outputs " + " ".join(name for name, _sig in network.outputs))
     for data, state, init in network.latches:
-        out.append(f".latch {data} {state} {init}")
-
-    alias: Dict[str, str] = {}
-    for name, sig in network.outputs:
-        if name != sig:
-            alias[name] = sig
+        out.append(f".latch {rename.get(data, data)} {state} {init}")
 
     for signal in network.topological_order():
         gate = network.gates[signal]
-        out.extend(_gate_to_names(signal, gate))
+        fanins = [rename.get(f, f) for f in gate.fanins]
+        out.extend(_gate_to_names(rename.get(signal, signal), gate.op, fanins))
     for name, sig in network.outputs:
-        if name != sig and name not in network.gates:
+        sig = rename.get(sig, sig)
+        if name != sig:
             out.append(f".names {sig} {name}")
             out.append("1 1")
     out.append(".end")
     return "\n".join(out) + "\n"
 
 
-def _gate_to_names(signal: str, gate) -> List[str]:
-    op = gate.op
-    fanins = list(gate.fanins)
+def _output_collisions(network: LogicNetwork) -> Dict[str, str]:
+    """Fresh names for gate wires that share a name with another output."""
+    taken = set(network.inputs) | set(network.gates)
+    taken.update(name for name, _sig in network.outputs)
+    rename: Dict[str, str] = {}
+    for name, sig in network.outputs:
+        if name == sig or name in rename:
+            continue
+        if name in network.gates:
+            fresh = f"{name}_w"
+            suffix = 0
+            while fresh in taken:
+                suffix += 1
+                fresh = f"{name}_w{suffix}"
+            taken.add(fresh)
+            rename[name] = fresh
+        elif network.is_input(name):
+            raise ValueError(
+                f"output {name!r} names input {name!r} but carries signal {sig!r}"
+            )
+    return rename
+
+
+def _gate_to_names(signal: str, op: str, fanins: List[str]) -> List[str]:
     header = ".names " + " ".join(fanins + [signal])
     k = len(fanins)
     if op in _COVERS:

@@ -22,14 +22,6 @@ Array coding (slots 0 and 1 are reserved; ``1`` denotes the sink):
   the node's test holds / fails: ``abs(ref)`` is the child slot
   (``1`` = sink), a negative sign marks a complemented edge.
 
-Forests frozen from chain-reduced managers add a fifth array ``bot``
-behind the ``"chain"`` meta flag: ``bot[i] >= 0`` marks a parity-span
-node whose partner variables are the contiguous order-position run
-from ``sv[i]`` down to ``bot[i]`` (the node tests the parity of
-``pv`` plus the partners; ``-1`` everywhere else).  Plain freezes
-keep the original four-array layout, so segments written by older
-code — and by chain-free managers — attach unchanged.
-
 Lifecycle: the freezing process *owns* the segment and must eventually
 :meth:`~ShmForest.unlink` it (attachers only :meth:`~ShmForest.close`).
 A module :mod:`atexit` hook unlinks every segment still owned by this
@@ -233,15 +225,13 @@ class ShmForest:
                 self._positions[var] = pos
             base = _align8(_HEADER.size + meta_len)
             span = 8 * n
-            ncols = 5 if meta.get("chain") else 4
             arrays = []
-            for k in range(ncols):
+            for k in range(4):
                 view = memoryview(buf)[base + k * span: base + (k + 1) * span]
                 arrays.append(view.cast("q"))
                 self._views.append(view)
             self._views.extend(arrays)
-            self._pv, self._sv, self._t, self._f = arrays[:4]
-            self._bot = arrays[4] if ncols == 5 else None
+            self._pv, self._sv, self._t, self._f = arrays
         except ParError:
             self._release_views()
             shm.close()
@@ -292,24 +282,20 @@ class ShmForest:
         supports = {
             fname: sorted(manager.support_edge(edge)) for fname, edge in named
         }
-        columns = [export["pv"], export["sv"], export["t"], export["f"]]
-        meta_dict = {
-            "kind": export["kind"],
-            "generation": generation,
-            "names": list(manager.var_names),
-            "order": list(manager.order.order),
-            "roots": export["roots"],
-            "supports": supports,
-        }
-        if export.get("bot") is not None:
-            # Chain-reduced forest: the span column rides behind a meta
-            # flag so plain segments keep the attachable 4-array layout.
-            meta_dict["chain"] = True
-            columns.append(export["bot"])
-        meta = json.dumps(meta_dict, separators=(",", ":")).encode("utf-8")
+        meta = json.dumps(
+            {
+                "kind": export["kind"],
+                "generation": generation,
+                "names": list(manager.var_names),
+                "order": list(manager.order.order),
+                "roots": export["roots"],
+                "supports": supports,
+            },
+            separators=(",", ":"),
+        ).encode("utf-8")
         n = len(export["pv"])
         base = _align8(_HEADER.size + len(meta))
-        total = base + len(columns) * 8 * n
+        total = base + 4 * 8 * n
         shm = _shared_memory.SharedMemory(
             create=True,
             size=total,
@@ -320,7 +306,7 @@ class ShmForest:
             _HEADER.pack_into(buf, 0, _MAGIC, len(meta), n)
             buf[_HEADER.size:_HEADER.size + len(meta)] = meta
             offset = base
-            for column in columns:
+            for column in (export["pv"], export["sv"], export["t"], export["f"]):
                 raw = array("q", column).tobytes()
                 buf[offset:offset + len(raw)] = raw
                 offset += 8 * n
@@ -434,32 +420,19 @@ class ShmForest:
         The freeze export guarantees a global topological order (slot
         index ascending = parents before children), so one pass serves
         any root; nodes unreachable from the swept root simply carry no
-        cohort and cost one dictionary miss each.  Span slots
-        (``bot[i] >= 0``) put the partner-variable tuple in the item's
-        ``sv`` slot, the convention of :mod:`repro.serve.bulk`.
+        cohort and cost one dictionary miss each.
         """
         pv, sv, t, f = self._pv, self._sv, self._t, self._f
-        bot = self._bot
-        order = self._order
-        pos = self._positions
         for i in range(2, self._n):
             ti = t[i]
             fi = f[i]
             ta = -ti if ti < 0 else ti
             fa = -fi if fi < 0 else fi
             svi = sv[i]
-            if svi < 0:
-                svv = None
-            elif bot is not None and bot[i] >= 0:
-                svv = tuple(
-                    order[p] for p in range(pos[svi], pos[bot[i]] + 1)
-                )
-            else:
-                svv = svi
             yield (
                 i,
                 pv[i],
-                svv,
+                None if svi < 0 else svi,
                 None if ta == 1 else ta,
                 ti < 0,
                 None if ta == 1 else pv[ta],
@@ -562,24 +535,13 @@ class ShmForest:
         if self._memos is not None:
             return self._memos
         pv, sv, t, f = self._pv, self._sv, self._t, self._f
-        bot = self._bot
         pos = self._positions
         n_vars = len(self._names)
         memo = [0] * self._n
         for i in range(self._n - 1, 1, -1):
             p = pos[pv[i]]
             svi = sv[i]
-            if svi < 0:
-                base = p + 1
-            elif bot is not None and bot[i] >= 0:
-                # Parity span: every span variable is consumed here (the
-                # children live strictly below bot), one of them is
-                # fixed by the branch parity and the rest — plus any
-                # gap above the partner run — are free; the net factor
-                # is 2^(pos(bot) - p), the final shift below.
-                base = pos[bot[i]] + 1
-            else:
-                base = pos[svi]
+            base = p + 1 if svi < 0 else pos[svi]
             total = 0
             for ref in (t[i], f[i]):
                 child = -ref if ref < 0 else ref
@@ -709,7 +671,7 @@ class ShmForest:
             return
         self._closed = True
         self._name_hint = self._shm.name
-        self._pv = self._sv = self._t = self._f = self._bot = None
+        self._pv = self._sv = self._t = self._f = None
         self._memos = None
         self._release_views()
         try:

@@ -31,22 +31,16 @@ nodes top-down (parents strictly before children) as *items*::
     (key, pv, sv, t_key, t_flip, t_pv, f_key, f_flip, f_pv)
 
 ``key`` is any hashable node identity; ``sv`` is ``None`` for
-single-variable tests (literal/Shannon nodes), a variable index for
-chain couples, or a *tuple* of partner variables for chain-reduced
-parity spans; the *t*-branch is taken where the node's test is true
-(``pv != sv`` for chain nodes, odd parity of ``pv`` plus the partners
-for spans, ``pv`` for the rest), ``*_key`` is ``None`` for the 1-sink,
-``*_flip`` marks a complemented edge and ``*_pv`` is the branch
-target's primary variable (``None`` for the sink).  The child
-variables are what lets the *cube* sweep (:func:`satisfiable_batch`)
-carry relational state across consecutive couples: taking a branch at
-a chain node ``(pv, sv)`` pins the value of ``sv``, which is tested
-next exactly when the child's PV is ``sv``.  Span branches pin
-nothing — they constrain only the parity of a variable run that sits
-entirely above the node's children in the order, so none of those
-variables can ever be tested again.  Backends without a structural
-stream fall back to the per-query loop in
-:class:`~repro.api.base.DDManager`.
+single-variable tests (literal/Shannon nodes); the *t*-branch is taken
+where the node's test is true (``pv != sv`` for chain nodes, ``pv`` for
+the rest), ``*_key`` is ``None`` for the 1-sink, ``*_flip`` marks a
+complemented edge and ``*_pv`` is the branch target's primary variable
+(``None`` for the sink).  The child variables are what lets the *cube*
+sweep (:func:`satisfiable_batch`) carry relational state across
+consecutive couples: taking a branch at a chain node ``(pv, sv)`` pins
+the value of ``sv``, which is tested next exactly when the child's PV
+is ``sv``.  Backends without a structural stream fall back to the
+per-query loop in :class:`~repro.api.base.DDManager`.
 """
 
 from __future__ import annotations
@@ -236,12 +230,6 @@ def cohort_sweep(
             continue
         if sv is None:
             t_mask = get_bits(pv, 0)
-        elif type(sv) is tuple:
-            # Parity span: the t-branch is taken where pv plus the
-            # partner variables have odd parity.
-            t_mask = get_bits(pv, 0)
-            for partner in sv:
-                t_mask ^= get_bits(partner, 0)
         else:
             t_mask = get_bits(pv, 0) ^ get_bits(sv, 0)
         f_mask = full & ~t_mask
@@ -355,36 +343,6 @@ def cube_sweep(
             # nothing is pinned downstream.
             route(t_key, t_flip, 0, 0, 0, 0, e1 | ef, o1 | of)
             route(f_key, f_flip, 0, 0, 0, 0, e0 | ef, o0 | of)
-            continue
-        if type(sv) is tuple:
-            # Parity span: the test is the parity of pv plus every
-            # partner.  Partners are skipped below both branches (they
-            # sit above the children in the order) and can never be
-            # pinned, so a lane whose span has *any* cube-free variable
-            # reaches both branches — choosing the parity only
-            # constrains variables that are never looked at again.
-            # Lanes with every partner cube-known follow the partner
-            # parity (kp = all partners known, xp = their parity).
-            kp = full
-            xp = 0
-            for partner in sv:
-                kp &= get_known(partner, 0)
-                xp ^= get_bits(partner, 0)
-            det0 = kp & ~xp & full
-            det1 = kp & xp
-            nb = full & ~kp
-            any_e = e0 | e1 | ef
-            any_o = o0 | o1 | of
-            route(
-                t_key, t_flip, 0, 0, 0, 0,
-                (e0 & det1) | (e1 & det0) | (ef & kp) | (any_e & nb),
-                (o0 & det1) | (o1 & det0) | (of & kp) | (any_o & nb),
-            )
-            route(
-                f_key, f_flip, 0, 0, 0, 0,
-                (e0 & det0) | (e1 & det1) | (ef & kp) | (any_e & nb),
-                (o0 & det0) | (o1 & det1) | (of & kp) | (any_o & nb),
-            )
             continue
         ks = get_known(sv, 0)
         ksv = ks & get_bits(sv, 0)

@@ -19,8 +19,7 @@ BBDDs: a couple ``(v, w)`` branches on ``v = w`` / ``v != w``, so the
 mass that arrived with ``v = 1`` pairs with ``w = 1`` and the ``v = 0``
 mass with ``w = 0``.  Variables skipped between levels (sparse
 supports, chain gaps) contribute their weight *sum* as a free factor,
-handled with prefix products in O(1) per edge; chain-reduced span
-nodes fold their partner run with an even/odd parity convolution.
+handled with prefix products in O(1) per edge.
 
 Arithmetic is generic over the scalar type: exact mode runs on
 :class:`fractions.Fraction` (bit-exact results, the differential-oracle
@@ -219,28 +218,6 @@ def mass_sweep(
                     route(t_key, t_pv, t_flip, parity, hi, p + 1)
                 if lo:
                     route(f_key, f_pv, f_flip, parity, lo, p + 1)
-        elif type(sv) is tuple:
-            # Span: odd parity of pv + partners -> t.  Fold the partner
-            # run into even/odd weight masses, then route from below
-            # the chain bottom.
-            ps = positions[sv[0]]
-            pb = positions[sv[-1]]
-            even, odd = one, zero
-            for partner in sv:
-                even, odd = (
-                    even * w0[partner] + odd * w1[partner],
-                    even * w1[partner] + odd * w0[partner],
-                )
-            gap = prefix[ps] / prefix[p + 1]
-            for parity in (False, True):
-                hi = m.get((parity, True), zero)
-                lo = m.get((parity, False), zero)
-                if not hi and not lo:
-                    continue
-                t_mass = (hi * even + lo * odd) * gap
-                f_mass = (lo * even + hi * odd) * gap
-                route(t_key, t_pv, t_flip, parity, t_mass, pb + 1)
-                route(f_key, f_pv, f_flip, parity, f_mass, pb + 1)
         else:
             # Couple (pv, sv): pv != sv -> t.  The =-branch pairs the
             # pv=1 mass with sv=1 and pv=0 with sv=0 (p*q + (1-p)(1-q)

@@ -1,12 +1,14 @@
 """Round-trip, migration, streaming and checkpoint tests for repro.io."""
 
 import io as stdio
+import os
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import io as rio
 from repro.circuits.registry import TABLE1_ROWS, TABLE2_ROWS
 from repro.core import BBDDManager, reorder
@@ -15,9 +17,10 @@ from repro.core.exceptions import BBDDError, VariableError
 from repro.core.traversal import levelize
 from repro.harness.table1 import run_table1
 from repro.io.checkpoint import CheckpointStore
-from repro.io.format import FormatError, unpack_ref
+from repro.io.__main__ import main as io_main
+from repro.io.format import FORMAT_VERSION, FormatError, read_header, unpack_ref
 from repro.io.stream import LevelStreamReader
-from repro.network.build import build_bbdd
+from repro.network.build import build
 
 # max_examples comes from the active hypothesis profile (fast/ci —
 # see tests/conftest.py); only per-test shape settings live here.
@@ -27,6 +30,10 @@ _SETTINGS = dict(
 )
 
 VARS = ["a", "b", "c", "d"]
+
+GOLDEN_V1 = os.path.join(os.path.dirname(__file__), "data", "golden_v1.bbdd")
+GOLDEN_VARS = ["a", "b", "c", "d"]
+GOLDEN_MASKS = {"maj": 0xE8E8, "parity": 0x6996, "bic": 0x9990}
 
 
 def _small_forest():
@@ -147,6 +154,83 @@ def test_scan_reports_forest_shape():
     assert info.file_bytes == len(data)
     assert sum(count for _p, count in info.header.levels) == info.node_count
     assert info.summary()["bytes_per_node"] > 0
+
+
+def test_golden_v1_reloads_bit_exactly():
+    with open(GOLDEN_V1, "rb") as fileobj:
+        data = fileobj.read()
+    header = read_header(stdio.BytesIO(data))
+    assert header.version == FORMAT_VERSION
+    assert header.flags == 0
+    manager, functions = rio.loads(data)
+    assert set(functions) == set(GOLDEN_MASKS)
+    for name, mask in GOLDEN_MASKS.items():
+        assert functions[name].truth_mask(GOLDEN_VARS) == mask, name
+    # A plain manager re-dumps the v1 container byte for byte.
+    assert rio.dumps(manager, functions) == data
+
+
+def _with_chain_flag(data: bytes) -> bytes:
+    """Set the retired ``FLAG_CHAIN`` bit (0x2) in a valid v2 header."""
+    header = read_header(stdio.BytesIO(data))
+    assert header.version == 2 and header.flags < 0x80  # one-byte varints
+    # magic (4 bytes), version varint (1 byte), then the flags varint.
+    assert data[5] == header.flags
+    return data[:5] + bytes([header.flags | 0x2]) + data[6:]
+
+
+def test_chain_flag_is_rejected_by_every_reader(tmp_path, capsys):
+    m = repro.open("bbdd", vars=VARS)
+    bbdd = _with_chain_flag(rio.dumps(m, {"f": m.add_expr("a ^ b ^ c")}, compress=True))
+    b = repro.open("bdd", vars=VARS)
+    bdd = _with_chain_flag(
+        rio.dumps_bdd(b, {"f": b.add_expr("a ^ b ^ c")}, compress=True)
+    )
+    bbdd_path = tmp_path / "chain.bbdd"
+    bbdd_path.write_bytes(bbdd)
+    bdd_path = tmp_path / "chain_bdd.bbdd"
+    bdd_path.write_bytes(bdd)
+    readers = [
+        lambda: rio.loads(bbdd),
+        lambda: rio.load(str(bbdd_path)),
+        lambda: rio.loads_bdd(bdd),
+        lambda: rio.load_bdd(str(bdd_path)),
+        lambda: rio.open_forest(str(bbdd_path)),
+        lambda: rio.open_forest(str(bdd_path)),
+        lambda: LevelStreamReader(stdio.BytesIO(bbdd)),
+        lambda: rio.scan(str(bbdd_path)),
+        lambda: repro.open("xmem", vars=VARS).load(stdio.BytesIO(bbdd)),
+    ]
+    for read in readers:
+        with pytest.raises(FormatError, match="FLAG_CHAIN"):
+            read()
+    out = stdio.StringIO()
+    assert io_main(["scan", str(bbdd_path)], out=out) == 1
+    assert "FLAG_CHAIN" in capsys.readouterr().err
+    assert out.getvalue() == ""
+
+
+def test_scan_cli_reports_every_container_kind(tmp_path):
+    m = repro.open("bbdd", vars=VARS)
+    compressed = str(tmp_path / "par.bbdd")
+    m.dump({"par": m.add_expr("a ^ b ^ c ^ d")}, compressed, compress=True)
+    out = stdio.StringIO()
+    assert io_main(["scan", compressed, GOLDEN_V1], out=out) == 0
+    text = out.getvalue()
+    assert "version:        2" in text
+    assert "compressed" in text
+    assert "version:        1" in text
+    assert "backend kind:   bbdd" in text
+    assert "bytes per node:" in text
+
+
+def test_scan_cli_missing_file_exits_nonzero(tmp_path, capsys):
+    out = stdio.StringIO()
+    missing = str(tmp_path / "nope.bbdd")
+    assert io_main(["scan", missing], out=out) == 1
+    captured = capsys.readouterr()
+    assert "nope.bbdd" in captured.err
+    assert out.getvalue() == ""
 
 
 def test_iter_levels_is_bottom_up_and_backward_referencing():
@@ -300,8 +384,37 @@ def test_roundtrip_into_permuted_manager_property(fn, data):
     m2.check_invariants()
 
 
+def _build_from_mask(manager, names, mask):
+    """Sum-of-minterms build through the shared protocol surface."""
+    f = manager.false()
+    variables = [manager.var(name) for name in names]
+    for idx in range(1 << len(names)):
+        if not (mask >> idx) & 1:
+            continue
+        term = manager.true()
+        for bit, v in enumerate(variables):
+            term = term & (v if (idx >> bit) & 1 else ~v)
+        f = f | term
+    return f
+
+
+@pytest.mark.parametrize("backend", ["bbdd", "bdd", "xmem"])
+@given(masked_function(max_vars=4), st.booleans())
+@settings(**_SETTINGS)
+def test_compressed_roundtrip_across_backends(backend, fn, compress):
+    n, mask = fn
+    names = [f"v{i}" for i in range(n)]
+    manager = repro.open(backend, vars=names)
+    f = _build_from_mask(manager, names, mask)
+    buf = stdio.BytesIO()
+    manager.dump({"f": f}, buf, compress=compress)
+    fresh = repro.open(backend, vars=names)
+    loaded = fresh.load(stdio.BytesIO(buf.getvalue()))
+    assert loaded["f"].truth_mask(names) == mask
+
+
 # ----------------------------------------------------------------------
-# registry sweep (acceptance: every circuit, both table backends)
+# registry sweep (acceptance: every circuit)
 # ----------------------------------------------------------------------
 
 
@@ -327,13 +440,10 @@ def _spot_check(network, originals, reloaded, rng, vectors=8):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ["dict", "cantor"])
-def test_registry_dump_reload_sweep(backend):
+def test_registry_dump_reload_sweep():
     rng = random.Random(0xBBDD)
     for name, network in _registry_networks():
-        manager, functions = build_bbdd(
-            network, unique_backend=backend, computed_backend=backend
-        )
+        manager, functions = build(network, backend="bbdd")
         data = rio.dumps(manager, functions)
 
         # Same order: canonical node-for-node reconstruction.
@@ -353,11 +463,7 @@ def test_registry_dump_reload_sweep(backend):
         # (adders, comparators) exponentially large.
         names = list(manager.var_names)
         names[0], names[1] = names[1], names[0]
-        permuted = BBDDManager(
-            names,
-            unique_backend=backend,
-            computed_backend=backend,
-        )
+        permuted = BBDDManager(names)
         replayed = permuted.load(stdio.BytesIO(data))
         _spot_check(network, functions, replayed, rng)
         if network.num_inputs <= 10:

@@ -8,14 +8,13 @@
 * The ``repro.io.migrate`` module-shadowing regression: importing the
   submodule must yield the module (exposing ``ProtocolMigrator``), with
   the renamed :func:`~repro.io.migrate.migrate_forest` re-exported from
-  ``repro.io`` and the legacy spellings still callable (deprecated).
+  ``repro.io``.
 * Swapped ``dump``/``load`` argument validation raises
   :class:`~repro.core.exceptions.BBDDError` naming the expected order.
 """
 
 import io as _io
 import types
-import warnings
 
 import pytest
 
@@ -45,27 +44,27 @@ def _empty_dump() -> bytes:
     return rio.dumps(m, {})
 
 
-#: A parity tower over five variables: chain reduction collapses it to
-#: span nodes, so these dumps exercise FLAG_CHAIN alongside
-#: FLAG_COMPRESSED (span records + delta refs + shared deflate).
-_CHAIN_VARS = ["a", "b", "c", "d", "e"]
-_CHAIN_EXPR = "a <-> (b <-> (c <-> (d <-> e)))"
+#: A parity tower over five variables plus a mixed function: these dumps
+#: exercise FLAG_COMPRESSED (delta refs + shared deflate) on both
+#: backends.
+_PAR_VARS = ["a", "b", "c", "d", "e"]
+_PAR_EXPR = "a <-> (b <-> (c <-> (d <-> e)))"
 
 
 def _bbdd_dump_compressed() -> bytes:
-    m = repro.open("bbdd", vars=_CHAIN_VARS, chain_reduce=True)
+    m = repro.open("bbdd", vars=_PAR_VARS)
     return rio.dumps(
         m,
-        {"par": m.add_expr(_CHAIN_EXPR), "g": m.add_expr("(a ^ b) | e")},
+        {"par": m.add_expr(_PAR_EXPR), "g": m.add_expr("(a ^ b) | e")},
         compress=True,
     )
 
 
 def _bdd_dump_compressed() -> bytes:
-    m = repro.open("bdd", vars=_CHAIN_VARS, chain_reduce=True)
+    m = repro.open("bdd", vars=_PAR_VARS)
     return rio.dumps_bdd(
         m,
-        {"par": m.add_expr(_CHAIN_EXPR), "g": m.add_expr("(a ^ b) | e")},
+        {"par": m.add_expr(_PAR_EXPR), "g": m.add_expr("(a ^ b) | e")},
         compress=True,
     )
 
@@ -101,22 +100,23 @@ def test_bdd_load_rejects_every_truncation(make_dump):
 
 
 def test_compressed_dumps_carry_v2_flags():
-    """The fuzz fixtures really hit the v2 chain+compressed code paths."""
+    """The fuzz fixtures really hit the v2 compressed code paths."""
     from repro.io.format import (
         FLAG_BDD,
         FLAG_CHAIN,
         FLAG_COMPRESSED,
-        FORMAT_VERSION_CHAIN,
+        FORMAT_VERSION_2,
         read_header,
     )
 
     bbdd = read_header(_io.BytesIO(_bbdd_dump_compressed()))
-    assert bbdd.version == FORMAT_VERSION_CHAIN
-    assert bbdd.flags & FLAG_COMPRESSED and bbdd.flags & FLAG_CHAIN
+    assert bbdd.version == FORMAT_VERSION_2
+    assert bbdd.flags & FLAG_COMPRESSED and not bbdd.flags & FLAG_CHAIN
     assert not bbdd.flags & FLAG_BDD
     bdd = read_header(_io.BytesIO(_bdd_dump_compressed()))
-    assert bdd.version == FORMAT_VERSION_CHAIN
+    assert bdd.version == FORMAT_VERSION_2
     assert bdd.flags & FLAG_COMPRESSED and bdd.flags & FLAG_BDD
+    assert not bdd.flags & FLAG_CHAIN
 
 
 def test_xmem_load_rejects_every_truncation():
@@ -215,20 +215,6 @@ def test_import_repro_io_migrate_is_a_module():
     # And the convenience function is re-exported under its new name.
     assert rio.migrate_forest is migrate_module.migrate_forest
     assert rio.ProtocolMigrator is migrate_module.ProtocolMigrator
-
-
-def test_legacy_migrate_spellings_still_call_through():
-    src = repro.open("bbdd", vars=["a", "b"])
-    dst = repro.open("bbdd", vars=["a", "b"])
-    f = src.add_expr("a ^ b")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        via_module_call = rio.migrate(f, dst)  # calling the module object
-        via_function = rio.migrate.migrate(f, dst)  # the deprecated function
-    assert via_module_call == via_function
-    assert sum(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    ) >= 2
 
 
 # ----------------------------------------------------------------------

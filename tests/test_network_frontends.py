@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.circuits.registry import TABLE1_ROWS
 from repro.core.truthtable import TruthTable
 from repro.network.blif import parse_blif, write_blif
-from repro.network.build import build_bbdd, build_bdd
+from repro.network.build import build
 from repro.network.network import LogicNetwork
 from repro.network.simulate import (
     apply_vector,
     networks_equivalent,
     output_truth_masks,
+    random_masks,
+    simulate_outputs,
 )
 from repro.network.verilog import parse_verilog, write_verilog
 
@@ -78,6 +81,30 @@ def test_blif_round_trip():
     assert back.name == net.name
 
 
+@pytest.mark.parametrize("row", TABLE1_ROWS, ids=lambda row: row.name)
+def test_blif_round_trip_preserves_table1_outputs(row):
+    """Outputs named like other internal wires survive write/parse."""
+    net = row.build(full=False)
+    back = parse_blif(write_blif(net))
+    assert [name for name, _sig in back.outputs] == [
+        name for name, _sig in net.outputs
+    ]
+    width = 256
+    masks = random_masks(net.num_inputs, width=width, seed=0xB11F)
+    by_name = {name: masks[j] for j, name in enumerate(net.inputs)}
+    assert simulate_outputs(back, by_name, width) == simulate_outputs(
+        net, by_name, width
+    )
+
+
+def test_blif_output_named_like_input_is_rejected():
+    net = LogicNetwork("clash")
+    a, b = net.add_inputs(["a", "b"])
+    net.set_output("a", net.and_(a, b))
+    with pytest.raises(ValueError, match="input"):
+        write_blif(net)
+
+
 def test_blif_cover_parsing():
     text = """
 .model cover
@@ -130,17 +157,17 @@ def test_verilog_rejects_vectors():
 def test_builders_match_simulation():
     net = full_adder_network()
     masks = output_truth_masks(net)
-    _mg, fns = build_bbdd(net)
+    _mg, fns = build(net, backend="bbdd")
     for name, f in fns.items():
         assert f.truth_mask(net.inputs) == masks[name]
-    _mg2, fns2 = build_bdd(net)
+    _mg2, fns2 = build(net, backend="bdd")
     for name, f in fns2.items():
         assert f.truth_mask(net.inputs) == masks[name]
 
 
 def test_builders_share_across_outputs():
     net = full_adder_network()
-    mg, fns = build_bbdd(net)
+    mg, fns = build(net, backend="bbdd")
     total = mg.node_count(list(fns.values()))
     separate = sum(f.node_count() for f in fns.values())
     assert total <= separate

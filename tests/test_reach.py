@@ -40,13 +40,8 @@ _SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: (backend, manager kwargs) — the matrix the oracle tests sweep.
-VARIANTS = [
-    ("bbdd", {}),
-    ("bbdd", {"chain_reduce": True}),
-    ("bdd", {}),
-    ("xmem", {}),
-]
+#: The backends the oracle tests sweep.
+BACKENDS = ("bbdd", "bdd", "xmem")
 
 
 def random_transition_network(rng, bits, inputs=0):
@@ -95,11 +90,11 @@ def test_random_systems_match_explicit_bfs():
     for bits, inputs in cases:
         net = random_transition_network(rng, bits, inputs)
         oracle = explicit_reachable(net)
-        for backend, kwargs in VARIANTS:
-            system = from_network(net, backend=backend, **kwargs)
+        for backend in BACKENDS:
+            system = from_network(net, backend=backend)
             result = reachable(system)
             codes = system.state_codes(result.states)
-            assert codes == oracle, (net.name, backend, kwargs)
+            assert codes == oracle, (net.name, backend)
             assert result.state_count == len(oracle)
             assert result.iterations <= len(oracle)
 
@@ -113,8 +108,8 @@ def test_model_families_match_explicit_bfs():
     ]
     for net in nets:
         oracle = explicit_reachable(net)
-        for backend, kwargs in VARIANTS:
-            system = from_network(net, backend=backend, **kwargs)
+        for backend in BACKENDS:
+            system = from_network(net, backend=backend)
             result = reachable(system)
             assert system.state_codes(result.states) == oracle, (
                 net.name,
@@ -174,22 +169,6 @@ def test_and_exists_equals_unfused(backend, case):
     # Manager spelling, operand order and the empty set behave too.
     assert manager.and_exists(g, f, subset) == fused
     assert f.and_exists(g, []) == (f & g)
-
-
-@given(case=conjoined_pair())
-@settings(**_SETTINGS)
-def test_and_exists_equals_unfused_chain_reduced(case):
-    names, f_text, g_text, subset = case
-    for backend in ("bbdd", "bdd"):
-        manager = repro.open(backend, vars=names, chain_reduce=True)
-        f = manager.add_expr(f_text)
-        g = manager.add_expr(g_text)
-        assert f.and_exists(g, subset) == (f & g).exists(subset), (
-            backend,
-            f_text,
-            g_text,
-            subset,
-        )
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,7 @@ Three ground truths anchor :mod:`repro.wmc`:
 * the **restrict oracle** — each posterior marginal must satisfy
   ``p(v=1 | f=1) = p_v * p_one(f|v=1) / p_one(f)``.
 
-Every property runs on the full backend matrix (bbdd/bdd/xmem) with
-chain reduction both off and on where supported.
+Every property runs on the full backend matrix (bbdd/bdd/xmem).
 """
 
 import random
@@ -31,21 +30,10 @@ _SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: (backend, manager kwargs) — the matrix every oracle test sweeps.
-VARIANTS = [
-    ("bbdd", {}),
-    ("bbdd", {"chain_reduce": True}),
-    ("bdd", {}),
-    ("bdd", {"chain_reduce": True}),
-    ("xmem", {}),
-]
-
-
 def variant_managers(names):
-    """Yield ``(label, manager)`` across the backend/chain matrix."""
-    for backend, kwargs in VARIANTS:
-        label = backend + ("+chain" if kwargs else "")
-        yield label, repro.open(backend, vars=names, **kwargs)
+    """Yield ``(backend, manager)`` across the backend matrix."""
+    for backend in ("bbdd", "bdd", "xmem"):
+        yield backend, repro.open(backend, vars=names)
 
 
 @st.composite
@@ -217,7 +205,7 @@ def test_constants_and_sparse_support():
 def test_shannon_count_fallback_matches_sweep():
     """The protocol-pure recursion equals the levelized sweep."""
     names = [f"v{i}" for i in range(5)]
-    manager = repro.open("bbdd", vars=names, chain_reduce=True)
+    manager = repro.open("bbdd", vars=names)
     f = manager.add_expr("(v0 ^ v1) | (v2 & v3 & ~v4)")
     weights = {"v0": Fraction(1, 3), "v3": Fraction(5, 7)}
     w1, w0, one, zero = resolve_weights(manager, weights, probabilities=True)
