@@ -1,7 +1,6 @@
 """Round-trip, migration, streaming and checkpoint tests for repro.io."""
 
 import io as stdio
-import os
 import random
 
 import pytest
@@ -18,7 +17,7 @@ from repro.core.traversal import levelize
 from repro.harness.table1 import run_table1
 from repro.io.checkpoint import CheckpointStore
 from repro.io.__main__ import main as io_main
-from repro.io.format import FORMAT_VERSION, FormatError, read_header, unpack_ref
+from repro.io.format import FormatError, read_header, unpack_ref
 from repro.io.stream import LevelStreamReader
 from repro.network.build import build
 
@@ -30,10 +29,6 @@ _SETTINGS = dict(
 )
 
 VARS = ["a", "b", "c", "d"]
-
-GOLDEN_V1 = os.path.join(os.path.dirname(__file__), "data", "golden_v1.bbdd")
-GOLDEN_VARS = ["a", "b", "c", "d"]
-GOLDEN_MASKS = {"maj": 0xE8E8, "parity": 0x6996, "bic": 0x9990}
 
 
 def _small_forest():
@@ -156,20 +151,6 @@ def test_scan_reports_forest_shape():
     assert info.summary()["bytes_per_node"] > 0
 
 
-def test_golden_v1_reloads_bit_exactly():
-    with open(GOLDEN_V1, "rb") as fileobj:
-        data = fileobj.read()
-    header = read_header(stdio.BytesIO(data))
-    assert header.version == FORMAT_VERSION
-    assert header.flags == 0
-    manager, functions = rio.loads(data)
-    assert set(functions) == set(GOLDEN_MASKS)
-    for name, mask in GOLDEN_MASKS.items():
-        assert functions[name].truth_mask(GOLDEN_VARS) == mask, name
-    # A plain manager re-dumps the v1 container byte for byte.
-    assert rio.dumps(manager, functions) == data
-
-
 def _with_chain_flag(data: bytes) -> bytes:
     """Set the retired ``FLAG_CHAIN`` bit (0x2) in a valid v2 header."""
     header = read_header(stdio.BytesIO(data))
@@ -207,29 +188,6 @@ def test_chain_flag_is_rejected_by_every_reader(tmp_path, capsys):
     out = stdio.StringIO()
     assert io_main(["scan", str(bbdd_path)], out=out) == 1
     assert "FLAG_CHAIN" in capsys.readouterr().err
-    assert out.getvalue() == ""
-
-
-def test_scan_cli_reports_every_container_kind(tmp_path):
-    m = repro.open("bbdd", vars=VARS)
-    compressed = str(tmp_path / "par.bbdd")
-    m.dump({"par": m.add_expr("a ^ b ^ c ^ d")}, compressed, compress=True)
-    out = stdio.StringIO()
-    assert io_main(["scan", compressed, GOLDEN_V1], out=out) == 0
-    text = out.getvalue()
-    assert "version:        2" in text
-    assert "compressed" in text
-    assert "version:        1" in text
-    assert "backend kind:   bbdd" in text
-    assert "bytes per node:" in text
-
-
-def test_scan_cli_missing_file_exits_nonzero(tmp_path, capsys):
-    out = stdio.StringIO()
-    missing = str(tmp_path / "nope.bbdd")
-    assert io_main(["scan", missing], out=out) == 1
-    captured = capsys.readouterr()
-    assert "nope.bbdd" in captured.err
     assert out.getvalue() == ""
 
 
@@ -382,35 +340,6 @@ def test_roundtrip_into_permuted_manager_property(fn, data):
     loaded = m2.load(stdio.BytesIO(rio.dumps(m, {"f": f})))
     assert loaded["f"].truth_mask([f"x{i}" for i in range(n)]) == mask
     m2.check_invariants()
-
-
-def _build_from_mask(manager, names, mask):
-    """Sum-of-minterms build through the shared protocol surface."""
-    f = manager.false()
-    variables = [manager.var(name) for name in names]
-    for idx in range(1 << len(names)):
-        if not (mask >> idx) & 1:
-            continue
-        term = manager.true()
-        for bit, v in enumerate(variables):
-            term = term & (v if (idx >> bit) & 1 else ~v)
-        f = f | term
-    return f
-
-
-@pytest.mark.parametrize("backend", ["bbdd", "bdd", "xmem"])
-@given(masked_function(max_vars=4), st.booleans())
-@settings(**_SETTINGS)
-def test_compressed_roundtrip_across_backends(backend, fn, compress):
-    n, mask = fn
-    names = [f"v{i}" for i in range(n)]
-    manager = repro.open(backend, vars=names)
-    f = _build_from_mask(manager, names, mask)
-    buf = stdio.BytesIO()
-    manager.dump({"f": f}, buf, compress=compress)
-    fresh = repro.open(backend, vars=names)
-    loaded = fresh.load(stdio.BytesIO(buf.getvalue()))
-    assert loaded["f"].truth_mask(names) == mask
 
 
 # ----------------------------------------------------------------------

@@ -95,19 +95,6 @@ def test_frozen_constants_and_complements(backend):
         assert forest.sat_count("g") == 3
 
 
-def test_shm_forest_segment_has_four_columns():
-    """Freezes use the four-column RPARFRZ1 layout, and it attaches."""
-    manager, f = build("bbdd")
-    export = manager.freeze_export([("f", f.edge)])
-    assert set(export) == {"kind", "pv", "sv", "t", "f", "roots"}
-    with ShmForest.freeze(manager, {"f": f}) as frozen:
-        attached = ShmForest.attach(frozen.name)
-        try:
-            assert attached.sat_count("f") == f.sat_count()
-        finally:
-            attached.close()
-
-
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 @settings(**_SETTINGS)
 @given(data=st.data())
