@@ -9,8 +9,8 @@ circuits (see DESIGN.md §3.5).
 
 import pytest
 
-from _metrics import record_metric
-from repro.circuits.registry import TABLE1_ROWS
+from _metrics import measure, record_metric
+from repro.circuits.registry import TABLE1_ROWS, full_profile
 from repro.harness.table1 import render_table1, run_benchmark, run_table1
 
 _ROWS = {row.name: row for row in TABLE1_ROWS}
@@ -45,16 +45,30 @@ def test_build_and_sift(benchmark, name, package):
 _PAPER_AVG_BBDD_NODES = 575.65
 _NODE_TOLERANCE = 0.10
 _MAX_TIME_RATIO = 2.0
+_RATIO_ROUNDS = 5
+
+
+def _pipeline(networks, package):
+    """One timed pass: build + sift of every network on ``package``."""
+
+    def run():
+        total = 0.0
+        for network in networks:
+            result = run_benchmark(network, package)
+            total += result.build_time + result.sift_time
+        return total
+
+    return run
 
 
 def test_table1_summary(benchmark, capsys):
     """Full Table I pipeline; prints the paper-style table and gates.
 
-    The time-ratio gate compares per-row *minima* over two harness runs:
-    a single run's wall-clock ratio swings with machine load, while the
-    min-of-N estimate converges on the actual cost of each pipeline.
+    The time-ratio gate runs the BDD and BBDD build+sift passes over
+    every row alternately through :func:`_metrics.measure` and takes
+    the median per-round ratio, so load shifts on the host hit both
+    packages alike.
     """
-    first = run_table1()
     summary = benchmark.pedantic(run_table1, rounds=1, iterations=1)
     with capsys.disabled():
         print()
@@ -66,18 +80,11 @@ def test_table1_summary(benchmark, capsys):
         record_metric(
             "table1", f"total_{backend}_time", summary[f"total_{backend}_time"], "s"
         )
-    bbdd_time = bdd_time = 0.0
-    for row_a, row_b in zip(first["rows"], summary["rows"]):
-        assert row_a["name"] == row_b["name"]
-        bbdd_time += min(
-            row_a["bbdd_build"] + row_a["bbdd_sift"],
-            row_b["bbdd_build"] + row_b["bbdd_sift"],
-        )
-        bdd_time += min(
-            row_a["bdd_build"] + row_a["bdd_sift"],
-            row_b["bdd_build"] + row_b["bdd_sift"],
-        )
-    ratio = bbdd_time / bdd_time
+    full = full_profile()
+    networks = [row.build(full=full) for row in TABLE1_ROWS]
+    _bdd_s, _bbdd_s, ratio = measure(
+        _pipeline(networks, "bdd"), _pipeline(networks, "bbdd"), _RATIO_ROUNDS
+    )
     record_metric("table1", "bbdd_bdd_time_ratio", ratio, "x")
     assert summary["rows"]
     # Structural gate: sifted BBDD sizes must track the paper's average.

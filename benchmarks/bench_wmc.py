@@ -10,9 +10,14 @@ oracle **bit for bit** on every circuit across all three backends
 (bbdd/bdd/xmem) — the levelized sweep is an optimization of the
 semantics, never an approximation.
 
-The sweep-vs-enumeration timing of the largest circuit lands in
-``benchmarks/out/BENCH_wmc.json`` so the asymptotic win (O(nodes) per
-query versus O(2^n) enumeration) stays visible run over run.
+A second gate times all posterior marginals of the largest output
+against one ``p_one`` of it: they must cost at most 3x (one forward
+and one backward pass, see :func:`repro.wmc.sweep.joint_sweep`).
+
+The sweep-vs-enumeration timing of the largest circuit and the
+marginals ratio land in ``benchmarks/out/BENCH_wmc.json`` so the
+asymptotic win (O(nodes) per query versus O(2^n) enumeration) stays
+visible run over run.
 """
 
 import random
@@ -23,11 +28,15 @@ import repro
 from repro.circuits.registry import TABLE1_ROWS
 from repro.network.build import build
 from repro.network.simulate import output_truth_masks
-from _metrics import record_metric
+from _metrics import measure, record_metric
 
 INPUT_LIMIT = 20
 BACKENDS = ("bbdd", "bdd", "xmem")
 WEIGHT_SEED = 0x20140807
+#: The marginals gate: one forward and one backward pass must cost at
+#: most this many ``p_one`` sweeps of the same output.
+MAX_MARGINALS_PER_P_ONE = 3.0
+MARGINALS_ROUNDS = 11
 
 
 def _oracle_fold(word, names, probs):
@@ -122,8 +131,24 @@ def test_p_one_bit_exact_on_table1_circuits(capsys):
         record_metric("wmc", f"p_one_sweep_{backend}_s", t_sweep, "s")
 
 
+def _timed(fn, *args):
+    """A zero-argument pass of ``fn(*args)`` returning its seconds."""
+
+    def run():
+        t0 = time.perf_counter()
+        fn(*args)
+        return time.perf_counter() - t0
+
+    return run
+
+
 def test_marginals_throughput_on_largest_circuit(capsys, once):
-    """All posterior marginals of the densest eligible circuit, timed."""
+    """Gate: all posterior marginals cost at most 3x one ``p_one``.
+
+    Both run on the largest output of the densest eligible circuit,
+    alternated by :func:`_metrics.measure`; the gate is the median
+    per-round ratio.
+    """
     name, network = max(
         _eligible_circuits(), key=lambda item: item[1].num_inputs
     )
@@ -134,16 +159,23 @@ def test_marginals_throughput_on_largest_circuit(capsys, once):
         signal: Fraction(rng.randint(1, 15), 16) for signal in network.inputs
     }
 
-    t0 = time.perf_counter()
     posterior = once(f.marginals, weights)
-    elapsed = time.perf_counter() - t0
     support = sorted(f.support())
     assert sorted(posterior) == support
     assert all(0 <= p <= 1 for p in posterior.values())
+    p_one_s, marginals_s, ratio = measure(
+        _timed(f.p_one, weights), _timed(f.marginals, weights), MARGINALS_ROUNDS
+    )
     with capsys.disabled():
         print(
             f"wmc: {name} marginals over {len(support)} vars "
-            f"({f.node_count()} nodes) in {elapsed:.3f}s"
+            f"({f.node_count()} nodes) in {marginals_s:.4f}s, "
+            f"{ratio:.2f}x p_one ({p_one_s:.4f}s)"
         )
     record_metric("wmc", "marginals_vars", len(support), "count")
-    record_metric("wmc", "marginals_s", elapsed, "s")
+    record_metric("wmc", "marginals_s", marginals_s, "s")
+    record_metric("wmc", "marginals_per_p_one", ratio, "x")
+    assert ratio <= MAX_MARGINALS_PER_P_ONE, (
+        f"marginals took {ratio:.2f}x one p_one "
+        f"(gate {MAX_MARGINALS_PER_P_ONE}x)"
+    )

@@ -390,21 +390,16 @@ class DDManager:
         (:func:`repro.wmc.sweep.shannon_count`) — correct without
         knowing the node layout.
         """
-        from repro.wmc.sweep import mass_sweep, shannon_count, total_mass
+        from repro.wmc.sweep import level_stream, mass_sweep, shannon_count, total_mass
 
         if self.edge_is_sink(edge):
             if self.edge_is_false(edge):
                 return zero
             return total_mass(w1, w0, one)
-        order_obj = getattr(self, "order", None)
-        stream = self.batch_stream(edge) if order_obj is not None else None
+        stream = level_stream(self, edge)
         if stream is None:
             return shannon_count(self, edge, w1, w0, one, zero)
-        root_key, items = stream
-        order = tuple(order_obj.order)
-        positions = [0] * self.num_vars
-        for pos, var in enumerate(order):
-            positions[var] = pos
+        root_key, items, order, positions = stream
         return mass_sweep(
             root_key,
             self.edge_attr(edge),

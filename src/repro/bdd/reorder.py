@@ -59,14 +59,19 @@ def swap_adjacent_bdd(manager, k: int, stats: Optional[SwapStats] = None) -> Non
         e_edge: BDDEdge = (node.else_, node.else_attr)
         t1, t0 = _cofactor_on(t_edge, y)
         e1, e0 = _cofactor_on(e_edge, y)
-        rewrites.append((node, t1, t0, e1, e0))
+        rewrites.append((node.uid, node, t1, t0, e1, e0))
 
-    for node, *_rest in rewrites:
+    # The level set hashes nodes by address; rewriting in uid order
+    # makes the uids the rewrites allocate (and so the dump's record
+    # order) the same from run to run.  Uids are unique, so the tuples
+    # sort on their first field alone.
+    rewrites.sort()
+    for _uid, node, *_rest in rewrites:
         manager._unique.delete(node.key())
     order.swap_positions(k)
 
     dead: List[BDDNode] = []
-    for node, t1, t0, e1, e0 in rewrites:
+    for _uid, node, t1, t0, e1, e0 in rewrites:
         # f = y (x t1 + x' e1) + y' (x t0 + x' e0)
         new_t = manager._make(x, t1, e1)
         new_e = manager._make(x, t0, e0)

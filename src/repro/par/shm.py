@@ -624,31 +624,35 @@ class ShmForest:
         return self._weighted(name, w1, w0, one, zero)
 
     def marginals(self, name: str, weights=None, variables=None, *, exact: bool = True):
-        """Posterior marginals ``p(v = 1 | name = 1)`` per support variable."""
-        from repro.wmc.sweep import WmcError, resolve_weights
+        """Posterior marginals ``p(v = 1 | name = 1)`` per support variable.
+
+        One :func:`repro.wmc.sweep.joint_sweep` over the segment arrays,
+        the kernel in-process managers use (see :func:`repro.wmc.marginals`).
+        """
+        from repro.wmc import _count_sweeps, _marginal_indices, _posteriors
+        from repro.wmc.sweep import joint_sweep, resolve_weights
 
         w1, w0, one, zero = resolve_weights(
             self, weights, probabilities=True, exact=exact
         )
-        denominator = self._weighted(name, w1, w0, one, zero)
-        if not denominator:
-            raise WmcError(
-                "marginals are undefined: p(f = 1) is 0 under these weights"
-            )
-        if variables is None:
-            indices = sorted(self.support(name))
-        elif isinstance(variables, (str, int)):
-            indices = [self.var_index(variables)]
-        else:
-            indices = [self.var_index(v) for v in variables]
-        result = {}
-        for index in indices:
-            held = w0[index]
-            w0[index] = zero
-            joint = self._weighted(name, w1, w0, one, zero)
-            w0[index] = held
-            result[self.var_name(index)] = joint / denominator
-        return result
+        self._check_open()
+        ref = self._root(name)
+        indices = _marginal_indices(self, variables, sorted(self.support(name)))
+        _count_sweeps(2)
+        if ref == 1 or ref == -1:
+            return _posteriors(self, one if ref == 1 else zero, w1, indices)
+        p, joint = joint_sweep(
+            -ref if ref < 0 else ref,
+            ref < 0,
+            self._items(),
+            order=self._order,
+            positions=self._positions,
+            w1=w1,
+            w0=w0,
+            one=one,
+            zero=zero,
+        )
+        return _posteriors(self, p, joint, indices)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -21,6 +21,10 @@ mass with ``w = 0``.  Variables skipped between levels (sparse
 supports, chain gaps) contribute their weight *sum* as a free factor,
 handled with prefix products in O(1) per edge.
 
+:func:`joint_sweep` adds a backward pass to the same forward pass and
+returns every joint ``p(f = 1, v = 1)`` at once, which the posterior
+marginals divide by ``p(f = 1)``.
+
 Arithmetic is generic over the scalar type: exact mode runs on
 :class:`fractions.Fraction` (bit-exact results, the differential-oracle
 contract), float mode on machine doubles.  For backends without a
@@ -123,6 +127,26 @@ def total_mass(w1: Sequence, w0: Sequence, one):
     for hi, lo in zip(w1, w0):
         total = total * (hi + lo)
     return total
+
+
+def level_stream(manager, edge):
+    """``(root_key, items, order, positions)`` for the sweeps, or None.
+
+    None for constants and for backends without a levelized
+    ``batch_stream`` or a variable order; those take the protocol-pure
+    :func:`shannon_count` path instead.
+    """
+    order_obj = getattr(manager, "order", None)
+    if order_obj is None or manager.edge_is_sink(edge):
+        return None
+    stream = manager.batch_stream(edge)
+    if stream is None:
+        return None
+    order = tuple(order_obj.order)
+    positions = [0] * manager.num_vars
+    for pos, var in enumerate(order):
+        positions[var] = pos
+    return stream[0], stream[1], order, positions
 
 
 def mass_sweep(
@@ -265,6 +289,226 @@ def mass_sweep(
                             slots.get(lo_key, zero) + mm * w0[branch_pv]
                         )
     return acc
+
+
+def _add_pair(masses, key, out, hi, lo) -> None:
+    """Add ``(hi, lo)`` to parity ``out`` of ``key``'s slot list."""
+    slots = masses.get(key)
+    if slots is None:
+        slots = masses[key] = [None, None, None, None]
+    at = 2 if out else 0
+    if slots[at] is None:
+        slots[at] = hi
+        slots[at + 1] = lo
+    else:
+        slots[at] += hi
+        slots[at + 1] += lo
+
+
+def joint_sweep(
+    root_key,
+    root_attr: bool,
+    items,
+    *,
+    order: Sequence[int],
+    positions: Sequence[int],
+    w1: Sequence,
+    w0: Sequence,
+    one,
+    zero,
+):
+    """``p(f = 1)`` and every joint ``p(f = 1, v = 1)`` in two passes.
+
+    The weights must be probabilities (``w1[v] + w0[v] == 1``, as
+    :func:`resolve_weights` makes them in probability mode), so skipped
+    variables are free factors of one.  The arguments are those of
+    :func:`mass_sweep`.
+
+    :returns: ``(p, joint)`` — ``p(f = 1)`` and a list indexed by
+        variable index holding ``p(f = 1, v = 1)``.  Both equal what
+        :func:`mass_sweep` returns with ``w0[v]`` pinned to zero (and
+        unpinned, for ``p``), bit for bit in exact mode.
+
+    The forward pass is :func:`mass_sweep`'s arithmetic, with every
+    node's slot masses kept.  The backward pass visits the same nodes
+    children-first and gives each slot its downstream value
+    ``d p / d slot`` (the differential method of Darwiche's arithmetic
+    circuits).  ``p`` is linear in each variable's pair ``(w1, w0)``,
+    so the joint of ``v`` is the sum, over every use of ``w1[v]``, of
+    the mass flowing through it times its downstream value.  The uses
+    are: entering a node whose primary variable is ``v`` (one credit
+    per slot: all mass in a ``(parity, 1)`` slot carries ``w1[pv]``),
+    ``w1[sv]`` at a couple whose child does not start at ``sv``, and
+    the weight sum of ``v`` wherever a path skips its position —
+    collected in one difference array over positions.
+
+    Slots exist by structure (a parity reached from the root), never by
+    value, so a slot's downstream value is defined even when its mass
+    is zero.
+    """
+    n = len(order)
+    root_attr = bool(root_attr)
+    masses: Dict[object, list] = {}
+    visited = []
+    p_true = zero
+    # Forward: mass_sweep with unit gap factors and kept slots.  Slot
+    # lists are ``[hi, lo]`` for the even parity, then the odd one;
+    # ``None`` marks a parity no root path reaches.
+    for item in items:
+        key, pv, sv, t_key, t_flip, t_pv, f_key, f_flip, f_pv = item
+        if key == root_key:
+            _add_pair(masses, key, root_attr, w1[pv], w0[pv])
+        m = masses.get(key)
+        if m is None:
+            continue
+        visited.append(item)
+        for at in (0, 2):
+            hi = m[at]
+            if hi is None:
+                continue
+            lo = m[at + 1]
+            parity = at == 2
+            if sv is None:
+                branches = ((t_key, t_pv, t_flip, hi), (f_key, f_pv, f_flip, lo))
+                for child, c_pv, flip, mass in branches:
+                    out = parity ^ flip
+                    if child is None:
+                        if not out:
+                            p_true += mass
+                    else:
+                        _add_pair(masses, child, out, mass * w1[c_pv], mass * w0[c_pv])
+                continue
+            ws1 = w1[sv]
+            ws0 = w0[sv]
+            for child, c_pv, flip, s1, s0 in (
+                (t_key, t_pv, t_flip, lo * ws1, hi * ws0),
+                (f_key, f_pv, f_flip, hi * ws1, lo * ws0),
+            ):
+                out = parity ^ flip
+                if child is None:
+                    if not out:
+                        p_true += s1 + s0
+                elif c_pv == sv:
+                    _add_pair(masses, child, out, s1, s0)
+                else:
+                    mm = s1 + s0
+                    _add_pair(masses, child, out, mm * w1[c_pv], mm * w0[c_pv])
+    joint = [zero] * len(w1)
+    if root_key not in masses:
+        return p_true, joint
+    # Backward.  ``down[key]`` holds the downstream value of each slot
+    # (same layout as the masses); ``enter[key]`` the value of entering
+    # the node from above, ``w1[pv]·down_hi + w0[pv]·down_lo``, per
+    # parity.  The 0-sink is worth 1 under an even parity, else 0.
+    down: Dict[object, list] = {}
+    enter: Dict[object, list] = {}
+    sink = (one, zero)
+    gaps = [zero] * (n + 1)
+    for item in reversed(visited):
+        key, pv, sv, t_key, t_flip, t_pv, f_key, f_flip, f_pv = item
+        m = masses[key]
+        p = positions[pv]
+        d = [None, None, None, None]
+        e = [None, None]
+        hi_w = w1[pv]
+        lo_w = w0[pv]
+        if sv is None:
+            # Per branch: entry values and the end of the gap below p.
+            t_values, t_end = (sink, n)
+            if t_key is not None:
+                t_values, t_end = enter[t_key], positions[t_pv]
+            f_values, f_end = (sink, n)
+            if f_key is not None:
+                f_values, f_end = enter[f_key], positions[f_pv]
+            for at in (0, 2):
+                hi = m[at]
+                if hi is None:
+                    continue
+                parity = at == 2
+                d_hi = t_values[parity ^ t_flip]
+                d_lo = f_values[parity ^ f_flip]
+                d[at] = d_hi
+                d[at + 1] = d_lo
+                e[parity] = hi_w * d_hi + lo_w * d_lo
+                flow_hi = hi * d_hi
+                joint[pv] += flow_hi
+                if t_end > p + 1:
+                    gaps[p + 1] += flow_hi
+                    gaps[t_end] -= flow_hi
+                if f_end > p + 1:
+                    flow_lo = m[at + 1] * d_lo
+                    gaps[p + 1] += flow_lo
+                    gaps[f_end] -= flow_lo
+        else:
+            ps = positions[sv]
+            ws1 = w1[sv]
+            ws0 = w0[sv]
+            # Per branch: child values and the end of the gap below sv;
+            # a child starting at sv keeps the split (end None).
+            branches = []
+            for child, c_pv in ((t_key, t_pv), (f_key, f_pv)):
+                if child is None:
+                    branches.append((sink, n))
+                elif c_pv == sv:
+                    branches.append((down[child], None))
+                else:
+                    branches.append((enter[child], positions[c_pv]))
+            (t_values, t_end), (f_values, f_end) = branches
+            for at in (0, 2):
+                hi = m[at]
+                if hi is None:
+                    continue
+                lo = m[at + 1]
+                parity = at == 2
+                t_out = parity ^ t_flip
+                f_out = parity ^ f_flip
+                if t_end is None:
+                    t1 = t_values[2 if t_out else 0]
+                    t0 = t_values[3 if t_out else 1]
+                else:
+                    t1 = t0 = t_values[t_out]
+                if f_end is None:
+                    f1 = f_values[2 if f_out else 0]
+                    f0 = f_values[3 if f_out else 1]
+                else:
+                    f1 = f0 = f_values[f_out]
+                # t takes (lo·ws1, hi·ws0), f takes (hi·ws1, lo·ws0).
+                d_hi = ws0 * t0 + ws1 * f1
+                d_lo = ws1 * t1 + ws0 * f0
+                d[at] = d_hi
+                d[at + 1] = d_lo
+                e[parity] = hi_w * d_hi + lo_w * d_lo
+                flow_hi = hi * d_hi
+                joint[pv] += flow_hi
+                if ps > p + 1:
+                    through = flow_hi + lo * d_lo
+                    gaps[p + 1] += through
+                    gaps[ps] -= through
+                for end, s1, s0, value in (
+                    (t_end, lo * ws1, hi * ws0, t1),
+                    (f_end, hi * ws1, lo * ws0, f1),
+                ):
+                    if end is None:
+                        continue
+                    joint[sv] += s1 * value
+                    if end > ps + 1:
+                        through = (s1 + s0) * value
+                        gaps[ps + 1] += through
+                        gaps[end] -= through
+        down[key] = d
+        enter[key] = e
+    # Every path skips the positions above the root (the first item).
+    root_pos = positions[visited[0][1]]
+    if root_pos:
+        gaps[0] += p_true
+        gaps[root_pos] -= p_true
+    running = zero
+    for pos in range(n):
+        running += gaps[pos]
+        if running:
+            var = order[pos]
+            joint[var] += running * w1[var]
+    return p_true, joint
 
 
 def shannon_count(manager, edge, w1: Sequence, w0: Sequence, one, zero):

@@ -93,6 +93,30 @@ def test_bdd_sift_preserves_and_shrinks():
     assert result.final_size <= result.initial_size
 
 
+@pytest.mark.parametrize("name", ["C1908", "frg1"])
+def test_bdd_sift_dumps_are_reproducible(name):
+    """Two build+sift runs in one process give byte-identical dumps.
+
+    Swaps walk each level's node set in uid order; address-hashed
+    iteration would allocate rewritten nodes (and so record order)
+    differently from run to run.
+    """
+    import io
+
+    from repro.circuits.registry import TABLE1_ROWS
+    from repro.network.build import build
+
+    row = next(row for row in TABLE1_ROWS if row.name == name)
+    dumps = []
+    for _run in range(2):
+        manager, functions = build(row.build(full=False), backend="bdd")
+        manager.sift()
+        buffer = io.BytesIO()
+        manager.dump(functions, buffer)
+        dumps.append(buffer.getvalue())
+    assert dumps[0] == dumps[1]
+
+
 def test_bdd_reorder_to():
     rng = random.Random(3)
     n = 5

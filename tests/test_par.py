@@ -10,6 +10,7 @@ worker-death respawn, and the no-leaked-segments guarantee.
 import multiprocessing
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -106,6 +107,65 @@ def test_frozen_forest_equivalence_property(backend, data):
     with ShmForest.freeze(manager, {"f": f}) as forest:
         assert forest.evaluate_batch("f", queries) == f.evaluate_batch(queries)
         assert forest.sat_count("f") == f.sat_count()
+
+
+def _misex1(backend):
+    """The misex1 Table I circuit (8 inputs): couples, gaps and sharing."""
+    from repro.circuits.registry import TABLE1_ROWS
+    from repro.network.build import build as build_network
+
+    row = next(row for row in TABLE1_ROWS if row.name == "misex1")
+    network = row.build(full=False)
+    manager, functions = build_network(network, backend=backend)
+    weights = {
+        name: Fraction(k, 11) for k, name in enumerate(network.inputs, start=1)
+    }
+    return manager, functions, weights
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_frozen_marginals_equal_in_process_exactly(backend):
+    manager, functions, weights = _misex1(backend)
+    functions = dict(functions, always=manager.true())
+    with ShmForest.freeze(manager, functions) as forest:
+        for name, func in sorted(functions.items()):
+            got = forest.marginals(name, weights)
+            assert got == func.marginals(weights), name
+            assert all(isinstance(value, Fraction) for value in got.values())
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_frozen_marginals_of_non_support_variable_is_prior(backend):
+    manager = repro.open(backend, vars=NAMES)
+    f = manager.add_expr("(a & ~c) | (c ^ f)")
+    weights = {"b": Fraction(2, 9), "c": Fraction(1, 3), "e": Fraction(5, 8)}
+    asked = ["b", "e", "d", "c"]
+    want = f.marginals(weights, asked)
+    assert want["b"] == Fraction(2, 9)
+    assert want["e"] == Fraction(5, 8)
+    assert want["d"] == Fraction(1, 2)
+    with ShmForest.freeze(manager, {"f": f, "t": manager.true()}) as forest:
+        assert forest.marginals("f", weights, asked) == want
+        assert forest.marginals("t", weights, asked) == {
+            "b": Fraction(2, 9), "e": Fraction(5, 8), "d": Fraction(1, 2), "c": Fraction(1, 3)
+        }
+        assert forest.marginals("f", weights, "e") == {"e": Fraction(5, 8)}
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_float_marginals_track_exact(backend):
+    manager, functions, weights = _misex1(backend)
+    with ShmForest.freeze(manager, functions) as forest:
+        for name, func in sorted(functions.items()):
+            exact = func.marginals(weights)
+            for got in (
+                func.marginals(weights, exact=False),
+                forest.marginals(name, weights, exact=False),
+            ):
+                assert sorted(got) == sorted(exact)
+                for var, value in exact.items():
+                    assert isinstance(got[var], float)
+                    assert abs(got[var] - value) <= 1e-12, (name, var)
 
 
 def test_sequential_fallback_when_freeze_unavailable():

@@ -177,6 +177,47 @@ def test_marginals_match_restrict_oracle(case):
             assert got[name] == expected, (label, text, name)
 
 
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("circuit", ["C17", "misex1", "z4ml", "decod"])
+def test_marginals_match_restrict_oracle_on_circuits(backend, circuit):
+    """The restrict oracle on every output and input of small circuits.
+
+    Non-support inputs are asked for too: their posterior is the prior.
+    """
+    from repro.circuits.registry import TABLE1_ROWS
+    from repro.network.build import build
+
+    row = next(row for row in TABLE1_ROWS if row.name == circuit)
+    network = row.build(full=False)
+    _manager, functions = build(network, backend=backend)
+    rng = random.Random(circuit)
+    weights = {
+        name: Fraction(rng.randrange(1, 64), 64) for name in network.inputs
+    }
+    for out, f in sorted(functions.items()):
+        denominator = f.p_one(weights)
+        got = f.marginals(weights, network.inputs)
+        for name in network.inputs:
+            cofactor = p_one(f.restrict(name, True), weights)
+            assert got[name] == weights[name] * cofactor / denominator, (out, name)
+
+
+def test_marginals_across_skipped_positions():
+    """Variables skipped above, between and below the diagram's nodes."""
+    names = ["a", "b", "c", "d", "e", "g"]
+    weights = {name: Fraction(k, 13) for k, name in enumerate(names, start=2)}
+    for label, manager in variant_managers(names):
+        for text in ("(b ^ c) | e", "(b ^ c) & ~e", "c ^ g", "(b & e) | (c ^ g)"):
+            f = manager.add_expr(text)
+            got = f.marginals(weights, names)
+            denominator = f.p_one(weights)
+            for name in names:
+                cofactor = p_one(f.restrict(name, True), weights)
+                assert got[name] == weights[name] * cofactor / denominator, (
+                    label, text, name,
+                )
+
+
 # ----------------------------------------------------------------------
 # surface, fallback and error behavior
 # ----------------------------------------------------------------------
@@ -214,6 +255,24 @@ def test_shannon_count_fallback_matches_sweep():
     assert total_mass(w1, w0, one) == 1
 
 
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_marginals_fallback_without_level_stream(backend):
+    """Without ``batch_stream``, pinned re-counts give the same answer."""
+    from repro import obs
+    from repro.obs.catalog import family
+
+    names = [f"v{i}" for i in range(5)]
+    manager = repro.open(backend, vars=names)
+    f = manager.add_expr("(v0 ^ v1) | (v2 & v3 & ~v4)")
+    weights = {"v0": Fraction(1, 3), "v3": Fraction(5, 7)}
+    want = f.marginals(weights)
+    manager.batch_stream = lambda edge: None
+    sweeps = family(obs.REGISTRY, "repro_wmc_sweeps_total")
+    before = sweeps.value
+    assert f.marginals(weights) == want
+    assert sweeps.value - before == 1 + len(names)
+
+
 def test_weight_validation_errors():
     manager = repro.open("bbdd", vars=["a", "b"])
     f = manager.var("a")
@@ -238,5 +297,6 @@ def test_wmc_counts_sweeps(backend):
     f.p_one()
     f.marginals()
     after = family(obs.REGISTRY, "repro_wmc_sweeps_total").value
-    # p_one is one sweep; marginals is one denominator + |support| more.
-    assert after - before == 1 + (1 + 2)
+    # p_one is one sweep; marginals is one forward and one backward
+    # pass, however many variables the support has.
+    assert after - before == 1 + 2
