@@ -84,11 +84,14 @@ class DDManager:
     ``ite_edges(f, g, h)`` / ``restrict_edge(f, var, value)`` /
     ``compose_edge(f, var, g)`` / ``quantify_edge(f, vars, forall)``
         The derived manipulation operations.
-    ``evaluate_edge(f, values)`` / ``sat_count_edge(f)`` /
-    ``sat_one_edge(f)`` / ``support_edge(f)`` / ``root_var(f)`` /
-    ``count_nodes(edges)``
+    ``evaluate_edge(f, values)`` / ``sat_one_edge(f)`` /
+    ``support_edge(f)`` / ``root_var(f)`` / ``count_nodes(edges)``
         Semantics and structure queries (``values`` and the returned
         assignments are keyed by variable *index*).
+    ``batch_stream(edges)`` (optional)
+        The backend's one structural producer: the union of the cones
+        of a sequence of edges, each node once, parents first, with
+        keys unique across the whole stream (see :meth:`batch_stream`).
     ``acquire_ref(node)`` / ``release_ref(node)`` / ``defer_gc()``
         Memory management hooks used by the function handles.
     ``var_index`` / ``var_name`` / ``num_vars`` / ``order`` /
@@ -97,7 +100,11 @@ class DDManager:
 
     The function-returning conveniences (``var``, ``nvar``,
     ``variables``, ``true``, ``false``, ``function``, ``node_count``)
-    are installed by the backend's function module.
+    are installed by the backend's function module.  The whole-diagram
+    passes are derived here, once, from ``batch_stream``: the batch
+    sweeps, :meth:`freeze_export`, :meth:`sat_count_edge` and
+    :meth:`weighted_count_edge` (each with a protocol-pure fallback for
+    a backend without a stream).
     """
 
     #: Registry name of the backend ("bbdd", "bdd", ...).
@@ -205,15 +212,21 @@ class DDManager:
 
     # -- batch protocol (repro.serve) ---------------------------------------
 
-    def batch_stream(self, edge):
-        """Top-down level stream of ``edge``'s diagram for cohort sweeps.
+    def batch_stream(self, edges):
+        """Top-down level stream of the forest ``edges`` for the sweeps.
 
-        Backends with a levelized structure return ``(root_key, items)``
-        where ``items`` yields the reachable nodes parents-first in the
-        shape documented in :mod:`repro.serve.bulk`; the batch queries
-        below then run as a single sweep.  The default ``None`` makes
-        them fall back to one root-to-sink walk per query, so any
-        third-party backend is correct without knowing about batching.
+        Backends with a levelized structure return ``(root_keys,
+        items)``: ``items`` yields every node of the union of the
+        edges' cones exactly once, parents strictly before children, in
+        the 9-tuple shape documented in :mod:`repro.serve.bulk`, with
+        keys unique across the whole stream; ``root_keys`` holds one
+        entry per edge — its root node's key, or None for a constant.
+        The batch queries, :meth:`freeze_export`, :meth:`sat_count_edge`
+        and :meth:`weighted_count_edge` then run as single passes over
+        it.  The default ``None`` makes each of them fall back to a
+        protocol-pure walk (one root-to-sink walk per batch query, the
+        Shannon recursion for counts, no freeze), so any third-party
+        backend is correct without knowing about streams.
         """
         return None
 
@@ -224,11 +237,11 @@ class DDManager:
         ``O(nodes + queries)``; without one it degrades to the looped
         ``O(nodes × queries)`` walk per query.
         """
-        stream = self.batch_stream(edge)
+        stream = self.batch_stream([edge])
         if stream is not None:
             from repro.serve.bulk import cohort_sweep
 
-            root_key, items = stream
+            (root_key,), items = stream
             sat_even, _sat_odd = cohort_sweep(
                 root_key, self.edge_attr(edge), items, batch.var_bits, batch.full
             )
@@ -247,98 +260,48 @@ class DDManager:
         of ``kind`` (the backend name), four per-slot integer lists
         ``pv``/``sv``/``t``/``f`` (slots 0 and 1 reserved, ``sv = -1``
         marks a single-variable test, child references are signed with
-        ``abs(ref) == 1`` the sink) in one **global topological order**
-        — children strictly after parents across all roots — and
-        ``roots`` mapping each name to its signed root reference
-        (``±1`` for constants).
+        ``abs(ref) == 1`` the sink) and ``roots`` mapping each name to
+        its signed root reference (``±1`` for constants).
 
-        This default builds on :meth:`batch_stream`: backends without a
-        structural level stream return None, and shared-memory callers
-        fall back to the sequential in-process path.  Backends with a
-        cheaper global enumeration override it.
+        The slots number one :meth:`batch_stream` of all the roots in
+        stream order, so they are in a global topological order —
+        children strictly after parents — and a node shared by several
+        roots has one slot.  Backends without a stream return None, and
+        shared-memory callers fall back to the sequential in-process
+        path.
         """
-        infos: Dict[object, tuple] = {}
-        node_roots: Dict[str, tuple] = {}
-        # Item keys are only guaranteed unique *within* one stream (the
-        # xmem backend, say, numbers nodes per root representation), so
-        # each stream's keys are namespaced by a stream index; two names
-        # rooted at the same node share one stream (and its slots).
-        streams_by_node: Dict[object, tuple] = {}
-        for name, edge in named:
-            if self.edge_is_sink(edge):
-                continue
-            attr = self.edge_attr(edge)
-            regular = self.negate_edge(edge) if attr else edge
-            node_key = self.edge_uid(regular)
-            entry = streams_by_node.get(node_key)
-            if entry is None:
-                stream = self.batch_stream(edge)
-                if stream is None:
-                    return None
-                root_key, items = stream
-                ns = len(streams_by_node)
-                for key, pvv, svv, tk, tf, tpv, fk, ff, fpv in items:
-                    infos.setdefault(
-                        (ns, key),
-                        (
-                            (ns, key),
-                            pvv,
-                            svv,
-                            None if tk is None else (ns, tk),
-                            tf,
-                            tpv,
-                            None if fk is None else (ns, fk),
-                            ff,
-                            fpv,
-                        ),
-                    )
-                entry = ((ns, root_key),)
-                streams_by_node[node_key] = entry
-            node_roots[name] = (entry[0], attr)
-        # Reverse DFS post-order = parents before children, merged
-        # across roots (a node shared between two roots keeps one slot).
-        seen = set()
-        order = []
-        for name, _edge in named:
-            entry = node_roots.get(name)
-            if entry is None or entry[0] in seen:
-                continue
-            stack = [(entry[0], False)]
-            while stack:
-                key, finished = stack.pop()
-                if finished:
-                    order.append(key)
-                    continue
-                if key in seen:
-                    continue
-                seen.add(key)
-                stack.append((key, True))
-                item = infos[key]
-                for child in (item[6], item[3]):
-                    if child is not None and child not in seen:
-                        stack.append((child, False))
-        ids: Dict[object, int] = {}
+        # Names rooted at one function share its slots, also on a
+        # backend whose separately built roots share no nodes (xmem).
+        uids = []
+        regular = {}
+        for _name, edge in named:
+            node_edge = self.negate_edge(edge) if self.edge_attr(edge) else edge
+            uids.append(self.edge_uid(node_edge))
+            regular.setdefault(uids[-1], node_edge)
+        stream = self.batch_stream(list(regular.values()))
+        if stream is None:
+            return None
+        root_keys, items = stream
+        key_of = dict(zip(regular, root_keys))
+        items = list(items)
+        ids = {item[0]: slot for slot, item in enumerate(items, 2)}
+        ids[None] = 1
         pv = [0, 0]
         sv = [-1, -1]
         t = [0, 0]
         f = [0, 0]
-        for key in reversed(order):
-            ids[key] = 2 + len(ids)
-        for key in reversed(order):
-            _key, pvv, svv, t_key, t_flip, _tpv, f_key, f_flip, _fpv = infos[key]
+        for _key, pvv, svv, t_key, t_flip, _t_pv, f_key, f_flip, _f_pv in items:
             pv.append(pvv)
             sv.append(-1 if svv is None else svv)
-            t_ref = 1 if t_key is None else ids[t_key]
-            t.append(-t_ref if t_flip else t_ref)
-            f_ref = 1 if f_key is None else ids[f_key]
-            f.append(-f_ref if f_flip else f_ref)
+            t.append(-ids[t_key] if t_flip else ids[t_key])
+            f.append(-ids[f_key] if f_flip else ids[f_key])
         roots: Dict[str, int] = {}
-        for name, edge in named:
-            if self.edge_is_sink(edge):
+        for (name, edge), uid in zip(named, uids):
+            key = key_of[uid]
+            if key is None:
                 roots[name] = -1 if self.edge_is_false(edge) else 1
             else:
-                key, attr = node_roots[name]
-                roots[name] = -ids[key] if attr else ids[key]
+                roots[name] = -ids[key] if self.edge_attr(edge) else ids[key]
         return {
             "kind": self.backend,
             "pv": pv,
@@ -355,11 +318,11 @@ class DDManager:
         both branches of one sweep; the fallback restricts the edge by
         each cube and checks the cofactor against the 0-sink.
         """
-        stream = self.batch_stream(edge)
+        stream = self.batch_stream([edge])
         if stream is not None:
             from repro.serve.bulk import cube_sweep
 
-            root_key, items = stream
+            (root_key,), items = stream
             sat_even, _sat_odd = cube_sweep(
                 root_key,
                 self.edge_attr(edge),
@@ -377,6 +340,29 @@ class DDManager:
                     cofactor = self.restrict_edge(cofactor, var, value)
                 results.append(not self.edge_is_false(cofactor))
         return results
+
+    def sat_count_edge(self, edge) -> int:
+        """Number of satisfying assignments over all manager variables.
+
+        One exact integer bottom-up count
+        (:func:`repro.wmc.sweep.sat_counts`) over the reversed
+        :meth:`batch_stream`; a backend without a stream takes
+        :func:`repro.wmc.sweep.shannon_count` with unit weights.
+        """
+        from fractions import Fraction
+
+        from repro.wmc.sweep import sat_counts, shannon_count
+
+        n = self.num_vars
+        if self.edge_is_sink(edge):
+            return 0 if self.edge_is_false(edge) else 1 << n
+        stream = self.batch_stream([edge])
+        if stream is None:
+            one = Fraction(1)
+            return int(shannon_count(self, edge, [one] * n, [one] * n, one, one - one))
+        (root_key,), items = stream
+        count = sat_counts(list(items), n)[root_key]
+        return (1 << n) - count if self.edge_attr(edge) else count
 
     def weighted_count_edge(self, edge, w1, w0, one, zero):
         """Weighted model count of ``edge`` (see :mod:`repro.wmc`).

@@ -337,71 +337,12 @@ class BDDManager(DDManager):
     def evaluate_edge(self, edge: BDDEdge, values: Dict[int, bool]) -> bool:
         return self.evaluate(edge, values)
 
-    def batch_stream(self, edge: BDDEdge):
-        """Top-down level stream for the batch cohort sweeps (repro.serve)."""
+    def batch_stream(self, edges: Sequence[BDDEdge]):
+        """Top-down level stream of a forest (see :class:`DDManager`)."""
         from repro.bdd import ops as _ops
 
-        if edge[0].is_sink:
-            return None
-        return (edge[0], _ops.iter_cohort_items(self, edge))
-
-    def freeze_export(self, named):
-        """Flat int64 columns of a named forest (the shared-memory codec).
-
-        Native override of :meth:`repro.api.base.DDManager.freeze_export`:
-        one DFS over all roots collects the shared node set, and sorting
-        by order position (then uid, for determinism) is a valid global
-        top-down order for Shannon diagrams — children always sit at
-        strictly later positions.
-        """
-        nodes = []
-        seen = set()
-        stack = []
-        for _name, edge in named:
-            node = edge[0]
-            if not node.is_sink and node not in seen:
-                seen.add(node)
-                stack.append(node)
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            for child in (node.then, node.else_):
-                if not child.is_sink and child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        position = self.order.position
-        nodes.sort(key=lambda n: (position(n.var), n.uid))
-        ids = {node: 2 + i for i, node in enumerate(nodes)}
-        pv = [0, 0]
-        sv = [-1, -1]
-        t = [0, 0]
-        f = [0, 0]
-        for node in nodes:
-            pv.append(node.var)
-            sv.append(-1)
-            then = node.then
-            t.append(1 if then.is_sink else ids[then])
-            els = node.else_
-            f_ref = 1 if els.is_sink else ids[els]
-            f.append(-f_ref if node.else_attr else f_ref)
-        roots = {}
-        for name, edge in named:
-            node, attr = edge
-            if node.is_sink:
-                roots[name] = -1 if attr else 1
-            else:
-                roots[name] = -ids[node] if attr else ids[node]
-        return {
-            "kind": self.backend,
-            "pv": pv,
-            "sv": sv,
-            "t": t,
-            "f": f,
-            "roots": roots,
-        }
-
-    def sat_count_edge(self, edge: BDDEdge) -> int:
-        return self.sat_count(edge)
+        root_keys = [None if node.is_sink else node for node, _attr in edges]
+        return (root_keys, _ops.iter_cohort_items(self, edges))
 
     def sat_one_edge(self, edge: BDDEdge) -> Optional[Dict[int, bool]]:
         from repro.bdd import ops as _ops
@@ -460,51 +401,6 @@ class BDDManager(DDManager):
                 attr ^= node.else_attr
                 node = node.else_
         return not attr
-
-    def sat_count(self, edge: BDDEdge) -> int:
-        """Satisfying-assignment count (iterative post-order, deep-safe)."""
-        n = self.num_vars
-        order = self._order
-        memo: Dict[BDDNode, int] = {}
-
-        def compute(node: BDDNode) -> int:
-            p = order.position(node.var)
-            span = n - p
-            total = 0
-            for child, attr in ((node.then, False), (node.else_, node.else_attr)):
-                if child.is_sink:
-                    sub = 0 if attr else (1 << (span - 1))
-                else:
-                    q = order.position(child.var)
-                    sub = memo[child]
-                    if attr:
-                        sub = (1 << (n - q)) - sub
-                    sub <<= q - (p + 1)
-                total += sub
-            return total
-
-        node, attr = edge
-        if node.is_sink:
-            return 0 if attr else (1 << n)
-        stack: List[BDDNode] = [node]
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            pending = [
-                c for c in (top.then, top.else_) if not c.is_sink and c not in memo
-            ]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            memo[top] = compute(top)
-        p = order.position(node.var)
-        c = memo[node]
-        if attr:
-            c = (1 << (n - p)) - c
-        return c << p
 
     def count_nodes(self, edges: Iterable[BDDEdge]) -> int:
         seen: set = set()

@@ -14,7 +14,7 @@ the same key scheme as the BBDD core (two-operand apply keys are
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.bdd.node import BDDEdge, BDDNode
 from repro.core.apply import _memo_fns
@@ -329,23 +329,26 @@ def sat_one_edge(manager, edge: BDDEdge) -> Optional[Dict[int, bool]]:
         node = child
 
 
-def iter_cohort_items(manager, edge: BDDEdge):
-    """Yield ``edge``'s nodes top-down as cohort-sweep items.
+def iter_cohort_items(manager, edges: Iterable[BDDEdge]):
+    """Yield the nodes of ``edges``' shared cones top-down as cohort-sweep items.
 
     Shape documented in :mod:`repro.serve.bulk`: Shannon nodes test a
     single variable (``sv`` slot ``None``), the *t*-branch is the
     then-edge (always regular under the CUDD normalization) and the
-    *f*-branch the else-edge with its complement attribute.  Nodes are
-    grouped by order position; children sit at strictly greater
-    positions, so ascending position emits parents first.
+    *f*-branch the else-edge with its complement attribute.  One DFS
+    over all roots collects each shared node once; nodes are grouped
+    by order position (uid order within a position) and children sit
+    at strictly greater positions, so ascending position emits parents
+    first.
     """
-    node, _attr = edge
-    if node.is_sink:
-        return
     position = manager.order.position
     buckets: Dict[int, List[BDDNode]] = {}
-    seen = {node}
-    stack = [node]
+    seen = set()
+    stack = []
+    for node, _attr in edges:
+        if not node.is_sink and node not in seen:
+            seen.add(node)
+            stack.append(node)
     while stack:
         n = stack.pop()
         buckets.setdefault(position(n.var), []).append(n)

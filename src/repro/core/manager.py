@@ -1132,78 +1132,14 @@ class BBDDManager(DDManager):
 
         return _trav.evaluate(self, edge, values)
 
-    def batch_stream(self, edge: Edge):
-        """Top-down level stream for the batch cohort sweeps (repro.serve)."""
+    def batch_stream(self, edges: Sequence[Edge]):
+        """Top-down level stream of a forest (see :class:`DDManager`)."""
         from repro.core import traversal as _trav
 
-        if edge == 1 or edge == -1:
-            return None
-        root = -edge if edge < 0 else edge
-        return (root, _trav.iter_cohort_items(self, edge))
-
-    def freeze_export(self, named):
-        """Flat int64 columns of a named forest (the shared-memory codec).
-
-        Native override of :meth:`repro.api.base.DDManager.freeze_export`:
-        one :func:`~repro.core.traversal.levelize` over *all* roots gives
-        the global top-down order directly (children live at strictly
-        deeper CVO levels), so shared nodes are enumerated once however
-        many roots reference them.
-        """
-        from repro.core import traversal as _trav
-
-        edges = [edge for _name, edge in named if edge != 1 and edge != -1]
-        ids: Dict[int, int] = {}
-        ordered: List[int] = []
-        for _pos, nodes in reversed(_trav.levelize(self, edges)):
-            for node in nodes:
-                ids[node] = 2 + len(ordered)
-                ordered.append(node)
-        pv = [0, 0]
-        sv = [-1, -1]
-        t = [0, 0]
-        f = [0, 0]
-        pvl, svl, neql, eql = self._pv, self._sv, self._neq, self._eq
-        for node in ordered:
-            pv.append(pvl[node])
-            d = neql[node]
-            neq = -d if d < 0 else d
-            neq_ref = 1 if neq == SINK else ids[neq]
-            if d < 0:
-                neq_ref = -neq_ref
-            eq = eql[node]
-            eq_ref = 1 if eq == SINK else ids[eq]
-            if svl[node] == SV_ONE:
-                # Literal (R4) node: the test is the variable itself, so
-                # the always-regular ``=``-edge (pv == 1) is the t-branch
-                # and the ``!=``-edge the f-branch.
-                sv.append(-1)
-                t.append(eq_ref)
-                f.append(neq_ref)
-            else:
-                sv.append(svl[node])
-                t.append(neq_ref)
-                f.append(eq_ref)
-        roots: Dict[str, int] = {}
-        for name, edge in named:
-            if edge == 1 or edge == -1:
-                roots[name] = edge
-            else:
-                node = -edge if edge < 0 else edge
-                roots[name] = -ids[node] if edge < 0 else ids[node]
-        return {
-            "kind": self.backend,
-            "pv": pv,
-            "sv": sv,
-            "t": t,
-            "f": f,
-            "roots": roots,
-        }
-
-    def sat_count_edge(self, edge: Edge) -> int:
-        from repro.core import traversal as _trav
-
-        return _trav.sat_count(self, edge)
+        root_keys = [
+            None if e == 1 or e == -1 else (-e if e < 0 else e) for e in edges
+        ]
+        return (root_keys, _trav.iter_cohort_items(self, edges))
 
     def sat_one_edge(self, edge: Edge) -> Optional[Dict[int, bool]]:
         """One satisfying assignment ``{var index: bit}``, or None.

@@ -22,7 +22,9 @@ The one-call surface (used by
 >>> parallel_evaluate_batch(f, queries, workers=2)
 [True, False]
 
-Backends without a structural freeze export (third-party managers whose
+The freeze export is derived from the manager's one structural
+producer, ``batch_stream(edges)``: the forest's stream numbered in
+order.  Backends without one (third-party managers whose
 ``batch_stream`` returns None) fall back to the sequential in-process
 path automatically — same results, no shared memory.
 """

@@ -197,7 +197,7 @@ class ShmForest:
         self._unlinked = False
         self._closed = False
         self._views: List[memoryview] = []
-        self._memos: Optional[List[int]] = None
+        self._memos: Optional[Dict[int, int]] = None
         try:
             buf = shm.buf
             magic, meta_len, n = _HEADER.unpack_from(buf, 0)
@@ -524,55 +524,24 @@ class ShmForest:
 
     # -- sat counting --------------------------------------------------------
 
-    def _sat_memos(self) -> List[int]:
-        """Per-slot satisfying-assignment counts (computed once, lazily).
-
-        ``memo[i]`` counts assignments of the variables at CVO positions
-        ``>= position(pv[i])`` satisfying slot ``i``'s regular function.
-        Children always sit at higher slot indices, so one descending
-        pass is a complete bottom-up evaluation of the whole store.
-        """
-        if self._memos is not None:
-            return self._memos
-        pv, sv, t, f = self._pv, self._sv, self._t, self._f
-        pos = self._positions
-        n_vars = len(self._names)
-        memo = [0] * self._n
-        for i in range(self._n - 1, 1, -1):
-            p = pos[pv[i]]
-            svi = sv[i]
-            base = p + 1 if svi < 0 else pos[svi]
-            total = 0
-            for ref in (t[i], f[i]):
-                child = -ref if ref < 0 else ref
-                if child == 1:
-                    sub = 0 if ref < 0 else 1 << (n_vars - base)
-                else:
-                    q = pos[pv[child]]
-                    sub = memo[child]
-                    if ref < 0:
-                        sub = (1 << (n_vars - q)) - sub
-                    sub <<= q - base
-                total += sub
-            memo[i] = total << (base - (p + 1))
-        self._memos = memo
-        return memo
-
     def sat_count(self, name: str) -> int:
-        """Satisfying assignments of ``name`` over all variables."""
+        """Satisfying assignments of ``name`` over all variables.
+
+        The first call counts every stored slot at once with the
+        in-process kernel (:func:`repro.wmc.sweep.sat_counts` over
+        :meth:`_items`) and keeps the counts for later names.
+        """
+        from repro.wmc.sweep import sat_counts
+
         self._check_open()
         ref = self._root(name)
-        if ref == 1:
-            return 1 << len(self._names)
-        if ref == -1:
-            return 0
-        memo = self._sat_memos()
-        root = -ref if ref < 0 else ref
-        p = self._positions[self._pv[root]]
-        count = memo[root]
-        if ref < 0:
-            count = (1 << (len(self._names) - p)) - count
-        return count << p
+        full = 1 << len(self._names)
+        if ref == 1 or ref == -1:
+            return full if ref == 1 else 0
+        if self._memos is None:
+            self._memos = sat_counts(list(self._items()), len(self._names))
+        count = self._memos[-ref if ref < 0 else ref]
+        return full - count if ref < 0 else count
 
     # -- weighted counting ---------------------------------------------------
 

@@ -25,8 +25,10 @@ The sweep itself is stride-agnostic: it only needs every bitset to use
 the same lane layout and a ``full`` mask with one set bit per query.
 
 Backends plug in through :meth:`DDManager.batch_stream
-<repro.api.base.DDManager.batch_stream>`, which yields the diagram's
-nodes top-down (parents strictly before children) as *items*::
+<repro.api.base.DDManager.batch_stream>`, which takes a sequence of
+edges and yields the union of their cones — every node once, parents
+strictly before children, keys unique across the stream — as
+*items*::
 
     (key, pv, sv, t_key, t_flip, t_pv, f_key, f_flip, f_pv)
 
@@ -39,8 +41,11 @@ complemented edge and ``*_pv`` is the branch target's primary variable
 sweep (:func:`satisfiable_batch`) carry relational state across
 consecutive couples: taking a branch at a chain node ``(pv, sv)`` pins
 the value of ``sv``, which is tested next exactly when the child's PV
-is ``sv``.  Backends without a structural stream fall back to the
-per-query loop in :class:`~repro.api.base.DDManager`.
+is ``sv``.  The same stream numbered in order is the shared-memory
+column layout (:meth:`~repro.api.base.DDManager.freeze_export`), and
+walked in reverse it is the exact model count.  Backends without a
+structural stream fall back to the per-query loop in
+:class:`~repro.api.base.DDManager`.
 """
 
 from __future__ import annotations

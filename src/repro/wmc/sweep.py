@@ -1,4 +1,4 @@
-"""The weighted-counting mass sweep and its protocol-pure fallback.
+"""The weighted-counting mass sweep, the model count and their fallback.
 
 Weighted model counting assigns every variable ``v`` a pair of weights
 ``(w1(v), w0(v))`` and asks for the total weight of the on-set,
@@ -23,7 +23,9 @@ handled with prefix products in O(1) per edge.
 
 :func:`joint_sweep` adds a backward pass to the same forward pass and
 returns every joint ``p(f = 1, v = 1)`` at once, which the posterior
-marginals divide by ``p(f = 1)``.
+marginals divide by ``p(f = 1)``.  :func:`sat_counts` is the plain
+model count as one exact integer pass over the reversed stream; every
+in-process backend and :class:`repro.par.shm.ShmForest` count with it.
 
 Arithmetic is generic over the scalar type: exact mode runs on
 :class:`fractions.Fraction` (bit-exact results, the differential-oracle
@@ -139,14 +141,40 @@ def level_stream(manager, edge):
     order_obj = getattr(manager, "order", None)
     if order_obj is None or manager.edge_is_sink(edge):
         return None
-    stream = manager.batch_stream(edge)
+    stream = manager.batch_stream([edge])
     if stream is None:
         return None
+    (root_key,), items = stream
     order = tuple(order_obj.order)
     positions = [0] * manager.num_vars
     for pos, var in enumerate(order):
         positions[var] = pos
-    return stream[0], stream[1], order, positions
+    return root_key, items, order, positions
+
+
+def sat_counts(items: Sequence[tuple], num_vars: int) -> dict:
+    """Model count of every streamed node, over all ``num_vars`` variables.
+
+    :param items: a parents-first list of 9-tuple items, as produced by
+        ``batch_stream`` / :meth:`repro.par.shm.ShmForest._items`; it is
+        walked in reverse, so every child is counted before its parents.
+    :param num_vars: the number of variables the counts range over.
+    :returns: ``{key: count}`` for the regular function of each node.
+
+    A node is ``t`` where its test holds and ``f`` elsewhere, and
+    neither child depends on the node's primary variable, so for every
+    assignment of the other variables exactly one value of it takes
+    each branch: the count is half the children's counts summed.  No
+    order position is needed; a complemented edge counts
+    ``2^num_vars - count``.
+    """
+    full = 1 << num_vars
+    counts: Dict[object, int] = {}
+    for key, _pv, _sv, t_key, t_flip, _t_pv, f_key, f_flip, _f_pv in reversed(items):
+        t = full if t_key is None else counts[t_key]
+        f = full if f_key is None else counts[f_key]
+        counts[key] = ((full - t if t_flip else t) + (full - f if f_flip else f)) >> 1
+    return counts
 
 
 def mass_sweep(
@@ -179,20 +207,23 @@ def mass_sweep(
 
     Per node the sweep keeps masses keyed ``(parity, pv_value)``;
     skipped order positions multiply in their weight sum via prefix
-    products.  Any variable whose weights sum to the exact zero makes
-    every full-assignment product zero, so the sweep short-circuits.
+    products.  A sum may be zero (``(1, -1)``, say) while the count is
+    not — a variable the diagram tests never multiplies in its sum — so
+    the prefix products take only the nonzero sums, a prefix count
+    tracks the zero ones, and mass crossing a gap that holds a zero sum
+    is dropped: no sum is ever divided by.
     """
     n = len(order)
-    sums = []
+    prefix = [one]
+    zeros = [0]
     for var in order:
         s = w1[var] + w0[var]
         if s == zero:
-            return zero
-        sums.append(s)
-    prefix = [one]
-    for s in sums:
-        prefix.append(prefix[-1] * s)
-    total = prefix[n]
+            prefix.append(prefix[-1])
+            zeros.append(zeros[-1] + 1)
+        else:
+            prefix.append(prefix[-1] * s)
+            zeros.append(zeros[-1])
     root_attr = bool(root_attr)
     masses: Dict[object, dict] = {}
     acc = zero
@@ -204,10 +235,12 @@ def mass_sweep(
             return
         parity ^= flip
         if branch_key is None:
-            if not parity:
-                acc += mass * (total / prefix[from_pos])
+            if not parity and zeros[n] == zeros[from_pos]:
+                acc += mass * (prefix[n] / prefix[from_pos])
             return
         q = positions[branch_pv]
+        if zeros[q] != zeros[from_pos]:
+            return
         mass = mass * (prefix[q] / prefix[from_pos])
         slots = masses.get(branch_key)
         if slots is None:
@@ -221,7 +254,8 @@ def mass_sweep(
         if key == root_key:
             # Seed at the root's own item: gap factors above it are
             # free, and its pv weight splits the initial mass.
-            base = prefix[positions[pv]]
+            p = positions[pv]
+            base = zero if zeros[p] else prefix[p]
             slots = masses.setdefault(key, {})
             hi_key = (root_attr, True)
             lo_key = (root_attr, False)
@@ -250,6 +284,8 @@ def mass_sweep(
             # integrate sv out.
             s = sv
             ps = positions[s]
+            if zeros[ps] != zeros[p + 1]:
+                continue
             gap = prefix[ps] / prefix[p + 1]
             ws1 = w1[s]
             ws0 = w0[s]
@@ -266,28 +302,23 @@ def mass_sweep(
                     m_s0 = m_s0 * gap
                     out = parity ^ flip
                     if branch_key is None:
-                        if not out:
-                            acc += (m_s1 + m_s0) * (total / prefix[ps + 1])
+                        if not out and zeros[n] == zeros[ps + 1]:
+                            acc += (m_s1 + m_s0) * (prefix[n] / prefix[ps + 1])
                         continue
+                    if branch_pv != s:
+                        q = positions[branch_pv]
+                        if zeros[q] != zeros[ps + 1]:
+                            continue
+                        mm = (m_s1 + m_s0) * (prefix[q] / prefix[ps + 1])
+                        m_s1 = mm * w1[branch_pv]
+                        m_s0 = mm * w0[branch_pv]
                     slots = masses.get(branch_key)
                     if slots is None:
                         slots = masses[branch_key] = {}
-                    if branch_pv == s:
-                        hi_key = (out, True)
-                        lo_key = (out, False)
-                        slots[hi_key] = slots.get(hi_key, zero) + m_s1
-                        slots[lo_key] = slots.get(lo_key, zero) + m_s0
-                    else:
-                        q = positions[branch_pv]
-                        mm = (m_s1 + m_s0) * (prefix[q] / prefix[ps + 1])
-                        hi_key = (out, True)
-                        lo_key = (out, False)
-                        slots[hi_key] = (
-                            slots.get(hi_key, zero) + mm * w1[branch_pv]
-                        )
-                        slots[lo_key] = (
-                            slots.get(lo_key, zero) + mm * w0[branch_pv]
-                        )
+                    hi_key = (out, True)
+                    lo_key = (out, False)
+                    slots[hi_key] = slots.get(hi_key, zero) + m_s1
+                    slots[lo_key] = slots.get(lo_key, zero) + m_s0
     return acc
 
 
@@ -521,15 +552,26 @@ def shannon_count(manager, edge, w1: Sequence, w0: Sequence, one, zero):
     ``(w1(v)·p(f|v=1) + w0(v)·p(f|v=0)) / (w1(v) + w0(v))`` so skipped
     variables need no position bookkeeping; the total weight
     ``prod(w1 + w0)`` multiplies back in at the end.
+
+    Normalizing divides by weight sums, so a pair summing to zero is
+    handled up front: the count is exactly zero when both weights are
+    zero or the function does not depend on the variable, and otherwise
+    :class:`WmcError` names it (:func:`mass_sweep` counts those pairs).
     """
+    zero_sums = [var for var, (hi, lo) in enumerate(zip(w1, w0)) if hi + lo == zero]
+    if zero_sums:
+        support = manager.support_edge(edge)
+        if any(not w1[var] or var not in support for var in zero_sums):
+            return zero
+        raise WmcError(
+            f"the weights of {manager.var_name(zero_sums[0])!r} sum to zero; "
+            "only a backend with a levelized batch_stream counts them"
+        )
     sums: Dict[int, object] = {}
     total = one
     for var, (hi, lo) in enumerate(zip(w1, w0)):
-        s = hi + lo
-        if s == zero:
-            return zero
-        sums[var] = s
-        total = total * s
+        sums[var] = hi + lo
+        total = total * sums[var]
     memo: Dict[object, object] = {}
     pending: Dict[object, tuple] = {}
     edge_uid = manager.edge_uid

@@ -387,87 +387,81 @@ class XmemManager(DDManager):
             nid = ref >> 1
         return not attr
 
-    def batch_stream(self, edge):
-        """Top-down level stream for the batch cohort sweeps (repro.serve).
+    def batch_stream(self, edges: Sequence):
+        """Top-down level stream of a forest (see :class:`DDManager`).
 
-        Level blocks are pulled in shallowest-first (node ids strictly
-        decrease along edges, so parents are always emitted before
-        children) and *dropped behind the sweep* whenever residency
-        exceeds the budget — a block already processed is never needed
-        again within one sweep, so an arbitrarily large query batch
-        never faults the residency budget on node records.
+        Each representation is streamed once, shallowest level first
+        (node ids strictly decrease along edges, so parents are always
+        emitted before children), and the per-representation streams
+        are concatenated: a representation's keys are its node ids plus
+        the sizes of the representations streamed before it, so a
+        single representation keeps its own ids.  Level blocks are
+        *dropped behind the sweep* whenever residency exceeds the
+        budget — a block already processed is never needed again
+        within one sweep, so an arbitrarily large query batch never
+        faults the residency budget on node records.
         """
-        node, _attr = edge
-        if node.rep is None:
-            return None
-        return (node.nid, self._iter_cohort_items(node.rep))
+        groups: Dict[int, Tuple[Levelized, int, set]] = {}
+        root_keys: List[Optional[int]] = []
+        offset = 0
+        for node, _attr in edges:
+            if node.rep is None:
+                root_keys.append(None)
+                continue
+            group = groups.get(id(node.rep))
+            if group is None:
+                group = groups[id(node.rep)] = (node.rep, offset, set())
+                offset += node.rep.size
+            group[2].add(node.nid)
+            root_keys.append(group[1] + node.nid)
+        return (root_keys, self._iter_cohort_items(list(groups.values())))
 
-    def _iter_cohort_items(self, rep: Levelized):
+    def _iter_cohort_items(self, groups):
         var_at = self._order.order
         budget = self.node_budget
         store = self._store
-        for index in range(len(rep.levels) - 1, -1, -1):
-            block = rep.levels[index]
-            if block.count == 0:
-                continue
-            records = rep._ensure(index)
-            base = rep.starts[index]
-            pos = block.position
-            pv = var_at[pos]
-            for offset in range(block.count):
-                sv_delta, neq_ref, eq_ref = records[offset]
-                nid = base + offset
-                if sv_delta == 0:
-                    # Literal record: the ``=``-edge is the regular
-                    # sink, the ``!=``-edge the complemented one.
-                    yield (nid, pv, None, None, False, None, None, True, None)
-                else:
+        for rep, offset, nids in groups:
+            # Finished representations are pruned to their roots; only
+            # a stream of some of them filters out the other cones.
+            live = None
+            if nids != {ref >> 1 for ref in rep.roots if ref >> 1}:
+                live = set(nids)
+            for index in range(len(rep.levels) - 1, -1, -1):
+                block = rep.levels[index]
+                if block.count == 0:
+                    continue
+                records = rep._ensure(index)
+                base = rep.starts[index]
+                pos = block.position
+                pv = var_at[pos]
+                for slot in range(block.count):
+                    sv_delta, neq_ref, eq_ref = records[slot]
+                    nid = base + slot
+                    if live is not None and nid not in live:
+                        continue
+                    if sv_delta == 0:
+                        # Literal record: the ``=``-edge is the regular
+                        # sink, the ``!=``-edge the complemented one.
+                        yield (offset + nid, pv, None, None, False, None, None, True, None)
+                        continue
                     neq_child = neq_ref >> 1
                     eq_child = eq_ref >> 1
+                    if live is not None:
+                        live.add(neq_child)
+                        live.add(eq_child)
                     yield (
-                        nid,
+                        offset + nid,
                         pv,
                         var_at[pos + sv_delta],
-                        neq_child if neq_child else None,
+                        offset + neq_child if neq_child else None,
                         bool(neq_ref & 1),
                         var_at[rep.pos_of(neq_child)] if neq_child else None,
-                        eq_child if eq_child else None,
+                        offset + eq_child if eq_child else None,
                         bool(eq_ref & 1),
                         var_at[rep.pos_of(eq_child)] if eq_child else None,
                     )
-            if store.resident > budget:
-                rep.spill_block(index)
-
-    def sat_count_edge(self, edge) -> int:
-        node, attr = edge
-        n = self.num_vars
-        if node.rep is None:
-            return 0 if attr else (1 << n)
-        rep = node.rep
-        counts = [0] * (rep.size + 1)
-        for nid, pos, sv_delta, neq_ref, eq_ref in rep.iter_records():
-            if sv_delta == 0:
-                counts[nid] = 1 << (n - pos - 1)
-                continue
-            q_sv = pos + sv_delta
-            total = 0
-            for ref in (neq_ref, eq_ref):
-                child = ref >> 1
-                if child == 0:
-                    sub = 0 if ref & 1 else (1 << (n - q_sv))
-                else:
-                    q = rep.pos_of(child)
-                    sub = counts[child]
-                    if ref & 1:
-                        sub = (1 << (n - q)) - sub
-                    sub <<= q - q_sv
-                total += sub
-            counts[nid] = total << (q_sv - (pos + 1))
-        p = rep.pos_of(node.nid)
-        count = counts[node.nid]
-        if attr:
-            count = (1 << (n - p)) - count
-        return count << p
+                if store.resident > budget:
+                    rep.spill_block(index)
 
     def sat_one_edge(self, edge) -> Optional[Dict[int, bool]]:
         node, attr = edge

@@ -1,5 +1,6 @@
 """Algorithm 1 correctness: all 16 operators vs. the truth-table oracle,
-canonicity of the result, and sat-count with level skipping."""
+canonicity of the result, and sat-count with level skipping (checked
+against the truth-table popcount on every backend)."""
 
 import random
 
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import BBDDManager
 from repro.core.operations import ALL_OPS, op_name
 from repro.core.reorder import from_truth_table
 from repro.core.truthtable import TruthTable
+from repro.par import ShmForest, shm_available
 
 
 @pytest.mark.parametrize("op", ALL_OPS)
@@ -48,14 +51,33 @@ def test_random_ops_match_truth_tables(n, data):
     m.check_invariants()
 
 
+def _from_mask(manager, n, mask):
+    """Shannon-expand a truth table (bit ``i``: variable ``j`` = bit ``j``)."""
+    level = [manager.true() if mask >> i & 1 else manager.false() for i in range(1 << n)]
+    for var in range(n):
+        x = manager.var(var)
+        level = [x.ite(level[k + 1], level[k]) for k in range(0, len(level), 2)]
+    return level[0]
+
+
 @given(st.integers(min_value=1, max_value=7), st.data())
 @settings(max_examples=60, deadline=None)
 def test_sat_count_matches_popcount(n, data):
+    """The truth-table popcount, independent of the shared count kernel,
+    on every backend and on a frozen forest."""
     full = (1 << (1 << n)) - 1
     mask = data.draw(st.integers(min_value=0, max_value=full))
+    want = TruthTable(n, mask).sat_count()
     m = BBDDManager(n)
     f = m.function(from_truth_table(m, mask))
-    assert f.sat_count() == TruthTable(n, mask).sat_count()
+    assert f.sat_count() == want
+    for backend in ("bdd", "xmem"):
+        g = _from_mask(repro.open(backend, vars=n), n, mask)
+        assert g.sat_count() == want, backend
+    if shm_available():
+        with ShmForest.freeze(m, {"f": f, "g": ~f}) as forest:
+            assert forest.sat_count("f") == want
+            assert forest.sat_count("g") == (1 << n) - want
 
 
 def test_canonicity_different_expression_trees():

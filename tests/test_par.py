@@ -124,6 +124,52 @@ def _misex1(backend):
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_freeze_shares_nodes_across_roots(backend):
+    """A node shared by several roots gets one slot, and every root
+    answers exactly as in process."""
+    manager, functions, weights = _misex1(backend)
+    first = functions[sorted(functions)[0]]
+    functions = dict(functions, negated=~first, always=manager.true())
+    edges = [func.edge for func in functions.values()]
+    queries = list(all_assignments(list(manager.var_names)))
+    with ShmForest.freeze(manager, functions) as forest:
+        if backend == "xmem":
+            # Separately built roots share no nodes here.
+            assert forest.node_count <= manager.count_nodes(edges)
+        else:
+            separate = sum(func.node_count() for func in functions.values())
+            assert separate > manager.count_nodes(edges)
+            assert forest.node_count == manager.count_nodes(edges)
+        for name, func in sorted(functions.items()):
+            assert forest.sat_count(name) == func.sat_count(), name
+            assert forest.p_one(name, weights) == func.p_one(weights), name
+            assert forest.evaluate_batch(name, queries) == func.evaluate_batch(queries)
+    # Equal functions share their slots, also when built separately.
+    twin = manager.add_expr(first.to_expr())
+    with ShmForest.freeze(manager, {"first": first, "twin": twin}) as forest:
+        assert forest.node_count == first.node_count()
+
+
+def test_freeze_of_one_root_of_a_shared_xmem_representation():
+    """A loaded xmem forest is one representation; freezing one of its
+    roots keeps that root's cone only."""
+    import io
+
+    manager = repro.open("xmem", vars=NAMES)
+    f = manager.add_expr("a & b")
+    g = manager.add_expr("(a ^ c) | (d & e)")
+    buffer = io.BytesIO()
+    manager.dump({"f": f, "g": g}, buffer)
+    buffer.seek(0)
+    loaded = manager.load(buffer)
+    assert loaded["f"].node.rep is loaded["g"].node.rep
+    assert loaded["f"].sat_count() == f.sat_count() == 16
+    with ShmForest.freeze(manager, {"f": loaded["f"]}) as forest:
+        assert forest.node_count == f.node_count()
+        assert forest.sat_count("f") == 16
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_frozen_marginals_equal_in_process_exactly(backend):
     manager, functions, weights = _misex1(backend)
     functions = dict(functions, always=manager.true())
@@ -180,6 +226,10 @@ def test_sequential_fallback_when_freeze_unavailable():
     assert f.evaluate_batch(queries, workers=2) == want
     assert f.satisfiable_batch([{"a": 1}], workers=2) == f.satisfiable_batch([{"a": 1}])
     assert parallel_sat_count({"f": f}) == {"f": f.sat_count()}
+    # Without a stream at all, sat_count is still exact.
+    manager.batch_stream = lambda edges: None
+    assert f.sat_count() == 46
+    assert (~f).sat_count() == 64 - 46
 
 
 def test_segment_lifecycle_errors():

@@ -9,9 +9,12 @@ Three ground truths anchor :mod:`repro.wmc`:
 * the **restrict oracle** — each posterior marginal must satisfy
   ``p(v=1 | f=1) = p_v * p_one(f|v=1) / p_one(f)``.
 
-Every property runs on the full backend matrix (bbdd/bdd/xmem).
+Every property runs on the full backend matrix (bbdd/bdd/xmem); the
+signed weight pairs also run on frozen forests and on the protocol-pure
+fallback of a backend without ``batch_stream``.
 """
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.api.base import ForeignManagerError
+from repro.par import ShmForest, shm_available
 from repro.wmc import WmcError, p_one, resolve_weights, shannon_count, total_mass
 
 from test_api_protocol import ALL_BACKENDS
@@ -63,12 +67,31 @@ def weighted_expr(draw, max_vars=6, max_depth=4):
     return names, expr(0), weights
 
 
-def brute_force_p_one(names, f, weights):
-    """Exact ``p(f = 1)`` by summing the weight of every assignment."""
-    probability = {
-        name: weights.get(name, Fraction(1, 2)) for name in names
-    }
-    totals = Fraction(0)
+@st.composite
+def signed_weighted_expr(draw):
+    """A random expression plus signed small-integer ``(w1, w0)`` pairs.
+
+    Half of the pairs are drawn as ``(w, -w)``, so weight sums of zero
+    are common.
+    """
+    names, text, _weights = draw(weighted_expr())
+    values = st.integers(min_value=-2, max_value=2)
+    pairs = {}
+    for name in names:
+        if draw(st.booleans()):
+            hi = draw(values)
+            lo = -hi if draw(st.booleans()) else draw(values)
+            pairs[name] = (hi, lo)
+    return names, text, pairs
+
+
+def brute_force_count(names, f, pairs):
+    """Exact weighted count by summing every assignment's weight product.
+
+    ``pairs`` maps names to ``(w1, w0)``; unmentioned names weigh
+    ``(1, 1)``.
+    """
+    total = Fraction(0)
     for code in range(1 << len(names)):
         assignment = {
             name: bool(code >> i & 1) for i, name in enumerate(names)
@@ -76,10 +99,20 @@ def brute_force_p_one(names, f, weights):
         if f.evaluate(assignment):
             term = Fraction(1)
             for name in names:
-                p = probability[name]
-                term *= p if assignment[name] else 1 - p
-            totals += term
-    return totals
+                hi, lo = pairs.get(name, (1, 1))
+                term *= hi if assignment[name] else lo
+            total += term
+    return total
+
+
+def brute_force_p_one(names, f, weights):
+    """Exact ``p(f = 1)`` by summing the weight of every assignment."""
+    probability = {
+        name: weights.get(name, Fraction(1, 2)) for name in names
+    }
+    return brute_force_count(
+        names, f, {name: (p, 1 - p) for name, p in probability.items()}
+    )
 
 
 # ----------------------------------------------------------------------
@@ -125,6 +158,78 @@ def test_p_one_exact_matches_enumeration(case):
         assert got == oracle, (label, text, weights)
         # Float mode tracks the exact value to rounding error.
         assert f.p_one(weights, exact=False) == pytest.approx(float(oracle))
+
+
+@given(signed_weighted_expr())
+@settings(**_SETTINGS)
+def test_signed_weight_pairs_match_enumeration(case):
+    """Signed ``(w1, w0)`` pairs, zero sums included, against enumeration.
+
+    Checked in process, on a frozen forest and on the fallback of a
+    backend without ``batch_stream``; the fallback may instead raise a
+    :class:`WmcError` naming a support variable whose pair sums to zero.
+    """
+    names, text, pairs = case
+    signed = {f"{name!r}" for name, (hi, lo) in pairs.items() if hi and hi + lo == 0}
+    oracle = None
+    for label, manager in variant_managers(names):
+        f = manager.add_expr(text)
+        if oracle is None:
+            oracle = brute_force_count(names, f, pairs)
+        assert f.weighted_count(pairs) == oracle, (label, text, pairs)
+        if shm_available():
+            with ShmForest.freeze(manager, {"f": f}) as forest:
+                assert forest.weighted_count("f", pairs) == oracle, (label, text)
+        manager.batch_stream = lambda edges: None
+        try:
+            got = f.weighted_count(pairs)
+        except WmcError as exc:
+            assert any(name in str(exc) for name in signed), (label, text, pairs)
+        else:
+            assert got == oracle, (label, text, pairs)
+
+
+#: Pairs summing to zero on variables skipped above the root, between
+#: two nodes, below a couple, on one path only, or tested everywhere.
+ZERO_SUM_CASES = [
+    ("a", {"a": (1, -1)}),
+    ("b & c", {"a": (1, -1)}),
+    ("a & c", {"b": (1, -1)}),
+    ("a | c", {"b": (2, -2), "d": (1, 2)}),
+    ("ite(a, c, b)", {"b": (1, -1)}),
+    ("(a ^ b) & d", {"c": (1, -1)}),
+    ("(a ^ b) | (c & d)", {"c": (1, -1), "a": (0, 0)}),
+    ("(a <-> c) & ~d", {"b": (-1, 1), "d": (2, -2)}),
+]
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_zero_sum_weight_pairs(backend):
+    """A pair summing to zero cancels only where the diagram skips it."""
+    manager = repro.open(backend, vars=["a", "b"])
+    a = manager.var("a")
+    assert a.weighted_count({"a": (1, -1)}) == 2
+    assert a.weighted_count({"a": (1, -1)}, exact=False) == 2.0
+    assert (a & manager.var("b")).weighted_count({"b": (1, -1)}) == 1
+    names = ["a", "b", "c", "d"]
+    manager = repro.open(backend, vars=names)
+    functions = {text: manager.add_expr(text) for text, _pairs in ZERO_SUM_CASES}
+    with contextlib.ExitStack() as stack:
+        forest = None
+        if shm_available():
+            forest = stack.enter_context(ShmForest.freeze(manager, functions))
+        for text, pairs in ZERO_SUM_CASES:
+            f = functions[text]
+            oracle = brute_force_count(names, f, pairs)
+            assert f.weighted_count(pairs) == oracle, text
+            if forest is not None:
+                assert forest.weighted_count(text, pairs) == oracle, text
+    manager.batch_stream = lambda edges: None
+    a = manager.var("a")
+    with pytest.raises(WmcError, match="'a'"):
+        a.weighted_count({"a": (1, -1)})
+    assert a.weighted_count({"b": (1, -1)}) == 0
+    assert a.weighted_count({"a": (0, 0)}) == 0
 
 
 def test_p_one_enumeration_larger_random_expressions():
@@ -271,6 +376,8 @@ def test_marginals_fallback_without_level_stream(backend):
     before = sweeps.value
     assert f.marginals(weights) == want
     assert sweeps.value - before == 1 + len(names)
+    # sat_count falls back to the unit-weight Shannon count, exactly.
+    assert f.sat_count() == 18
 
 
 def test_weight_validation_errors():

@@ -123,6 +123,10 @@ def test_xmem_spills_under_budget_and_stays_correct():
         assignment = {n: bool(arng.getrandbits(1)) for n in names}
         for fx, fb in pairs:
             assert fx.evaluate(assignment) == fb.evaluate(assignment)
+    # Counting streams the levels and drops them behind itself.
+    for fx, fb in pairs:
+        assert fx.sat_count() == fb.sat_count()
+    assert mx.stats()["resident_nodes"] <= budget
 
 
 def test_xmem_dump_interoperates_with_bbdd_container():
