@@ -14,6 +14,11 @@ A second gate times all posterior marginals of the largest output
 against one ``p_one`` of it: they must cost at most 3x (one forward
 and one backward pass, see :func:`repro.wmc.sweep.joint_sweep`).
 
+A third gate times float ``p_one`` over every output of a sifted
+misex3 on a frozen :class:`repro.par.shm.ShmForest` against the same
+queries in process: frozen roots stream their own cones, so the
+zero-copy path may cost at most 1.2x the in-process one.
+
 The sweep-vs-enumeration timing of the largest circuit and the
 marginals ratio land in ``benchmarks/out/BENCH_wmc.json`` so the
 asymptotic win (O(nodes) per query versus O(2^n) enumeration) stays
@@ -23,6 +28,8 @@ visible run over run.
 import random
 import time
 from fractions import Fraction
+
+import pytest
 
 import repro
 from repro.circuits.registry import TABLE1_ROWS
@@ -37,6 +44,10 @@ WEIGHT_SEED = 0x20140807
 #: most this many ``p_one`` sweeps of the same output.
 MAX_MARGINALS_PER_P_ONE = 3.0
 MARGINALS_ROUNDS = 11
+#: The zero-copy gate: float ``p_one`` over all misex3 outputs on a
+#: frozen forest may cost at most this many times the in-process pass.
+MAX_SHM_P_ONE_PER_INPROC = 1.2
+ZERO_COPY_ROUNDS = 15
 
 
 def _oracle_fold(word, names, probs):
@@ -178,4 +189,59 @@ def test_marginals_throughput_on_largest_circuit(capsys, once):
     assert ratio <= MAX_MARGINALS_PER_P_ONE, (
         f"marginals took {ratio:.2f}x one p_one "
         f"(gate {MAX_MARGINALS_PER_P_ONE}x)"
+    )
+
+
+def test_zero_copy_p_one_matches_in_process(capsys):
+    """Gate: frozen ``p_one`` costs at most 1.2x the in-process sweep.
+
+    Float ``p_one`` of every output of a sifted misex3, with seeded
+    weights on each support, once on a frozen
+    :class:`~repro.par.shm.ShmForest` (by root name) and once on the
+    function handles, alternated by :func:`_metrics.measure`; the gate
+    is the median per-round ratio.
+    """
+    from repro.par import freeze, shm_available
+
+    if not shm_available():
+        pytest.skip("multiprocessing.shared_memory unavailable")
+    row = next(row for row in TABLE1_ROWS if row.name == "misex3")
+    manager, functions = build(row.build(full=False), backend="bbdd")
+    manager.sift()
+    rng = random.Random(WEIGHT_SEED)
+    queries = [
+        (name, f, {v: rng.randrange(1, 64) / 64 for v in sorted(f.support())})
+        for name, f in sorted(functions.items())
+    ]
+
+    with freeze(manager, functions) as forest:
+        for name, f, weights in queries:
+            got = forest.p_one(name, weights, exact=False)
+            assert abs(got - f.p_one(weights, exact=False)) <= 1e-12, name
+
+        def shm_pass():
+            t0 = time.perf_counter()
+            for name, _f, weights in queries:
+                forest.p_one(name, weights, exact=False)
+            return time.perf_counter() - t0
+
+        def inproc_pass():
+            t0 = time.perf_counter()
+            for _name, f, weights in queries:
+                f.p_one(weights, exact=False)
+            return time.perf_counter() - t0
+
+        inproc_s, shm_s, ratio = measure(inproc_pass, shm_pass, ZERO_COPY_ROUNDS)
+    with capsys.disabled():
+        print(
+            f"wmc: misex3 p_one over {len(queries)} outputs "
+            f"({forest.node_count} slots): zero-copy {shm_s:.4f}s, "
+            f"in-process {inproc_s:.4f}s, {ratio:.2f}x"
+        )
+    record_metric("wmc", "shm_p_one_s", shm_s, "s")
+    record_metric("wmc", "inproc_p_one_s", inproc_s, "s")
+    record_metric("wmc", "shm_p_one_per_inproc", ratio, "x")
+    assert ratio <= MAX_SHM_P_ONE_PER_INPROC, (
+        f"zero-copy p_one took {ratio:.2f}x the in-process pass "
+        f"(gate {MAX_SHM_P_ONE_PER_INPROC}x)"
     )

@@ -68,6 +68,18 @@ def duplicate_assignment_error(manager, index: int, where: str) -> VariableError
     )
 
 
+def stream_support(items) -> frozenset:
+    """The variables tested in a ``batch_stream`` item stream.
+
+    On a reduced diagram every variable a node tests is in the support
+    of the functions above it, so the support of a cone is the primary
+    and secondary variables of its stream.
+    """
+    return frozenset(
+        var for item in items for var in (item[1], item[2]) if var is not None
+    )
+
+
 class DDManager:
     """The uniform decision-diagram manager protocol.
 
@@ -101,10 +113,11 @@ class DDManager:
     The function-returning conveniences (``var``, ``nvar``,
     ``variables``, ``true``, ``false``, ``function``, ``node_count``)
     are installed by the backend's function module.  The whole-diagram
-    passes are derived here, once, from ``batch_stream``: the batch
-    sweeps, :meth:`freeze_export`, :meth:`sat_count_edge` and
-    :meth:`weighted_count_edge` (each with a protocol-pure fallback for
-    a backend without a stream).
+    passes are derived from ``batch_stream``: :meth:`freeze_export`
+    here, and the batch sweeps (:mod:`repro.serve.bulk`) and counts
+    (:mod:`repro.wmc.sweep`) as functions of ``(source, edge)`` that a
+    frozen :class:`repro.par.shm.ShmForest` runs too, each with a
+    protocol-pure fallback for a backend without a stream.
     """
 
     #: Registry name of the backend ("bbdd", "bdd", ...).
@@ -221,36 +234,14 @@ class DDManager:
         the 9-tuple shape documented in :mod:`repro.serve.bulk`, with
         keys unique across the whole stream; ``root_keys`` holds one
         entry per edge — its root node's key, or None for a constant.
-        The batch queries, :meth:`freeze_export`, :meth:`sat_count_edge`
-        and :meth:`weighted_count_edge` then run as single passes over
-        it.  The default ``None`` makes each of them fall back to a
-        protocol-pure walk (one root-to-sink walk per batch query, the
-        Shannon recursion for counts, no freeze), so any third-party
-        backend is correct without knowing about streams.
+        The batch queries, :meth:`freeze_export` and the counts then
+        run as single passes over it.  The default ``None`` makes each
+        of them fall back to a protocol-pure walk (one root-to-sink
+        walk per batch query, the Shannon recursion for counts, no
+        freeze), so any third-party backend is correct without knowing
+        about streams.
         """
         return None
-
-    def evaluate_batch_edges(self, edge, batch):
-        """Evaluate one encoded batch (see :mod:`repro.serve.bulk`).
-
-        With a :meth:`batch_stream` this is the levelized cohort sweep —
-        ``O(nodes + queries)``; without one it degrades to the looped
-        ``O(nodes × queries)`` walk per query.
-        """
-        stream = self.batch_stream([edge])
-        if stream is not None:
-            from repro.serve.bulk import cohort_sweep
-
-            (root_key,), items = stream
-            sat_even, _sat_odd = cohort_sweep(
-                root_key, self.edge_attr(edge), items, batch.var_bits, batch.full
-            )
-            return batch.unpack(sat_even)
-        evaluate = self.evaluate_edge
-        return [
-            evaluate(edge, values)
-            for values in batch.iter_value_dicts(self.num_vars)
-        ]
 
     def freeze_export(self, named):
         """Flatten a named forest into parallel int64 columns, or None.
@@ -310,93 +301,6 @@ class DDManager:
             "f": f,
             "roots": roots,
         }
-
-    def satisfiable_batch_edges(self, edge, batch):
-        """Batched cube satisfiability (see :func:`repro.serve.bulk.satisfiable_batch`).
-
-        With a :meth:`batch_stream`, unconstrained queries flow into
-        both branches of one sweep; the fallback restricts the edge by
-        each cube and checks the cofactor against the 0-sink.
-        """
-        stream = self.batch_stream([edge])
-        if stream is not None:
-            from repro.serve.bulk import cube_sweep
-
-            (root_key,), items = stream
-            sat_even, _sat_odd = cube_sweep(
-                root_key,
-                self.edge_attr(edge),
-                items,
-                batch.var_bits,
-                batch.known_bits or {},
-                batch.full,
-            )
-            return batch.unpack(sat_even)
-        results = []
-        with self.defer_gc():
-            for values in batch.iter_known_dicts():
-                cofactor = edge
-                for var, value in values.items():
-                    cofactor = self.restrict_edge(cofactor, var, value)
-                results.append(not self.edge_is_false(cofactor))
-        return results
-
-    def sat_count_edge(self, edge) -> int:
-        """Number of satisfying assignments over all manager variables.
-
-        One exact integer bottom-up count
-        (:func:`repro.wmc.sweep.sat_counts`) over the reversed
-        :meth:`batch_stream`; a backend without a stream takes
-        :func:`repro.wmc.sweep.shannon_count` with unit weights.
-        """
-        from fractions import Fraction
-
-        from repro.wmc.sweep import sat_counts, shannon_count
-
-        n = self.num_vars
-        if self.edge_is_sink(edge):
-            return 0 if self.edge_is_false(edge) else 1 << n
-        stream = self.batch_stream([edge])
-        if stream is None:
-            one = Fraction(1)
-            return int(shannon_count(self, edge, [one] * n, [one] * n, one, one - one))
-        (root_key,), items = stream
-        count = sat_counts(list(items), n)[root_key]
-        return (1 << n) - count if self.edge_attr(edge) else count
-
-    def weighted_count_edge(self, edge, w1, w0, one, zero):
-        """Weighted model count of ``edge`` (see :mod:`repro.wmc`).
-
-        ``w1``/``w0`` are per-variable weight columns indexed by
-        variable index, ``one``/``zero`` the units of the arithmetic in
-        use (Fractions or floats).  With a :meth:`batch_stream` and a
-        variable order this is the one-pass levelized
-        :func:`repro.wmc.sweep.mass_sweep`; any other backend takes the
-        protocol-pure memoized Shannon recursion
-        (:func:`repro.wmc.sweep.shannon_count`) — correct without
-        knowing the node layout.
-        """
-        from repro.wmc.sweep import level_stream, mass_sweep, shannon_count, total_mass
-
-        if self.edge_is_sink(edge):
-            if self.edge_is_false(edge):
-                return zero
-            return total_mass(w1, w0, one)
-        stream = level_stream(self, edge)
-        if stream is None:
-            return shannon_count(self, edge, w1, w0, one, zero)
-        root_key, items, order, positions = stream
-        return mass_sweep(
-            root_key,
-            self.edge_attr(edge),
-            items,
-            order=order,
-            positions=positions,
-            w1=w1,
-            w0=w0,
-            one=one,
-            zero=zero,
-        )
 
     def and_exists_edges(self, f, g, variables):
         """Relational product ``exists variables . f & g``.
@@ -833,7 +737,9 @@ class FunctionBase:
 
     def sat_count(self) -> int:
         """Number of satisfying assignments over all manager variables."""
-        return self.manager.sat_count_edge(self.edge)
+        from repro.wmc.sweep import sat_count_edge
+
+        return sat_count_edge(self.manager, self.edge)
 
     def weighted_count(self, weights=None, *, exact: bool = True):
         """Weighted model count over all manager variables.

@@ -4,8 +4,9 @@ The parallel-execution layer on top of the flat node store:
 
 * :mod:`repro.par.shm` — :class:`ShmForest`: a manager's forest frozen
   into one ``multiprocessing.shared_memory`` segment, attached
-  zero-copy by any number of processes, queryable (batch evaluation,
-  cube satisfiability, exact sat-count) directly on the mapped arrays;
+  zero-copy by any number of processes; its roots stream their cones
+  off the mapped arrays into the managers' own sweeps (batch
+  evaluation, cube satisfiability, counts, ``p_one``, marginals);
 * :mod:`repro.par.dispatch` — :class:`WorkerCrew`: persistent worker
   processes with death detection, respawn and in-flight-task failure;
 * :mod:`repro.par.pool` — :class:`ParallelPool`: query cohorts split

@@ -7,8 +7,9 @@ levelized cohort sweeps of :mod:`repro.serve.bulk` on lane ranges of a
 query batch.  The batch is encoded once in the dispatcher, *staged* to
 every worker (one pickle per worker, amortized over all of the batch's
 sweeps), and then split into contiguous lane chunks — each worker
-sweeps its chunks against the mapped arrays and ships back one raw
-result bitset, so the per-task wire traffic is tiny in both directions.
+sweeps its chunks over the root's cone in the mapped arrays, with the
+functions the in-process managers use, and ships back the chunk's
+answers, so the per-task wire traffic is small in both directions.
 
 ``workers=0`` runs the same code path inline (no subprocesses): the
 right default for tests and single-core machines, with identical
@@ -25,7 +26,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.par.dispatch import CrewError, WorkerCrew, WorkerRestarted
 from repro.par.shm import ParError, ShmForest
@@ -88,7 +89,12 @@ class _WorkerState:
 def _worker_main(in_queue, reply, max_attached: int) -> None:
     """Worker-process loop: serve ``(task_id, op, payload)`` requests."""
     from repro import obs
-    from repro.serve.bulk import EncodedBatch, _slice_encoded
+    from repro.serve.bulk import (
+        EncodedBatch,
+        _slice_encoded,
+        evaluate_batch_edges,
+        satisfiable_batch_edges,
+    )
 
     obs.reset()
     state = _WorkerState(max_attached)
@@ -104,10 +110,10 @@ def _worker_main(in_queue, reply, max_attached: int) -> None:
                     batch = state.staged.get(batch_id)
                     if batch is None:
                         raise ParError(f"stale staged batch {batch_id!r}")
-                    if stop - start != batch.count:
-                        batch = _slice_encoded(batch, start, stop)
-                    result = state.forest(segment).sweep_encoded(
-                        name, batch, cube=cube
+                    forest = state.forest(segment)
+                    sweep = satisfiable_batch_edges if cube else evaluate_batch_edges
+                    result = sweep(
+                        forest, forest.edge(name), _slice_encoded(batch, start, stop)
                     )
                 elif op == "stage":
                     batch_id, count, stride, var_bits, known_bits = payload
@@ -254,52 +260,34 @@ class ParallelPool:
 
     # -- sweeps --------------------------------------------------------------
 
-    def _chunk_spans(self, count: int) -> List[Tuple[int, int]]:
-        """Contiguous lane ranges balancing ``count`` queries over the crew."""
+    def _lanes(self, count: int) -> int:
+        """Queries per sweep task: ``count`` balanced over the crew."""
         from repro.serve.bulk import DEFAULT_CHUNK
 
         workers = max(self.workers, 1)
-        lanes = min(DEFAULT_CHUNK, max(_MIN_LANES, -(-count // workers)))
-        return [
-            (start, min(start + lanes, count))
-            for start in range(0, count, lanes)
-        ]
-
-    def _sweep_inline(self, forest: ShmForest, names, encoded, cube: bool):
-        from repro.serve.bulk import _slice_encoded
-
-        spans = self._chunk_spans(encoded.count)
-        results: Dict[str, List[bool]] = {name: [] for name in names}
-        for start, stop in spans:
-            part = encoded if stop - start == encoded.count else _slice_encoded(
-                encoded, start, stop
-            )
-            for name in names:
-                results[name].extend(
-                    part.unpack(forest.sweep_encoded(name, part, cube=cube))
-                )
-        return results
+        return min(DEFAULT_CHUNK, max(_MIN_LANES, -(-count // workers)))
 
     def _sweep(self, forest: ShmForest, names: Sequence[str], assignments, cube: bool):
         """Encode once, sweep every name, return ``{name: [bool, ...]}``."""
-        from repro.serve.bulk import _encode, _slice_encoded
+        from repro.serve.bulk import _encode, query_batch
 
         names = list(names)
+        edges = [forest.edge(name) for name in names]
         support = None
         if not cube:
-            support = frozenset().union(
-                *(forest.support(name) for name in names)
-            )
-        else:
-            for name in names:
-                forest._root(name)
+            support = frozenset().union(*(forest.support_edge(e) for e in edges))
         encoded = _encode(forest, assignments, support, with_known=cube)
         self._count("batches")
-        if encoded.count == 0:
-            return {name: [] for name in names}
-        if self._crew is None:
-            return self._sweep_inline(forest, names, encoded, cube)
-        spans = self._chunk_spans(encoded.count)
+        lanes = self._lanes(encoded.count)
+        if self._crew is None or encoded.count == 0:
+            return {
+                name: query_batch(forest, edge, encoded, cube=cube, chunk=lanes)
+                for name, edge in zip(names, edges)
+            }
+        spans = [
+            (start, min(start + lanes, encoded.count))
+            for start in range(0, encoded.count, lanes)
+        ]
 
         def attempt():
             batch_id = self._next_batch_id()
@@ -325,26 +313,16 @@ class ParallelPool:
                     for start, stop in spans
                 ]
                 self._count("tasks_dispatched", len(task_ids))
-                raw = crew.collect_all(task_ids)
+                parts = iter(crew.collect_all(task_ids))
             finally:
                 try:
                     crew.abandon(crew.broadcast("drop", batch_id))
                 except CrewError:
                     pass
-            results: Dict[str, List[bool]] = {}
-            position = 0
-            for name in names:
-                answers: List[bool] = []
-                for start, stop in spans:
-                    part = (
-                        encoded
-                        if stop - start == encoded.count
-                        else _slice_encoded(encoded, start, stop)
-                    )
-                    answers.extend(part.unpack(raw[position]))
-                    position += 1
-                results[name] = answers
-            return results
+            return {
+                name: [answer for _span in spans for answer in next(parts)]
+                for name in names
+            }
 
         try:
             return attempt()
@@ -379,15 +357,15 @@ class ParallelPool:
     def sat_count(
         self, forest: ShmForest, names: Optional[Iterable[str]] = None
     ) -> Dict[str, int]:
-        """Satisfying-assignment counts, one bottom-up pass per worker.
+        """Satisfying-assignment counts, one bottom-up pass per name.
 
         ``names`` defaults to every stored root; the names are bucketed
         round-robin across the crew so distinct functions count
-        concurrently (the per-slot memo pass is shared within a worker).
+        concurrently, each over its own cone.
         """
         names = list(names) if names is not None else forest.functions
         for name in names:
-            forest._root(name)
+            forest.edge(name)
         if not names:
             return {}
         if self._crew is None:

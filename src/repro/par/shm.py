@@ -6,12 +6,18 @@ kind, generation number, variable names, CVO order, named signed root
 references and per-root supports) followed by four little-endian int64
 arrays — ``pv``/``sv``/``t``/``f``, one slot per node.  The layout is
 produced by :meth:`~repro.api.base.DDManager.freeze_export` (nodes in a
-global topological order, parents strictly before children) so a frozen
-forest supports the levelized cohort sweeps of :mod:`repro.serve.bulk`
-and an exact ``sat_count`` directly on the attached arrays — child
-processes :meth:`ShmForest.attach` the segment **zero-copy**: the kernel
-maps the same physical pages into every worker, so memory per added
-worker is O(1) regardless of forest size.
+global topological order, parents strictly before children).  Child
+processes :meth:`ShmForest.attach` the segment **zero-copy**: the
+kernel maps the same physical pages into every worker, so memory per
+added worker is O(1) regardless of forest size.
+
+A frozen forest holds no query code of its own.  It implements the
+read side of the managers' edge protocol over its columns — an edge is
+a signed slot reference, ``batch_stream(refs)`` yields exactly the
+cone of the refs in slot order — so its batch evaluation, cube
+satisfiability, ``sat_count``, weighted counts and marginals run the
+managers' sweeps (:mod:`repro.serve.bulk`, :mod:`repro.wmc`) over
+each root's cone, straight off the attached arrays.
 
 Array coding (slots 0 and 1 are reserved; ``1`` denotes the sink):
 
@@ -43,6 +49,7 @@ from array import array
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.core.exceptions import BBDDError, VariableError
+from repro.core.order import ChainVariableOrder
 
 try:  # pragma: no cover - exercised implicitly on import
     from multiprocessing import shared_memory as _shared_memory
@@ -183,11 +190,13 @@ class ShmForest:
     Create with :meth:`freeze` (the owning process) or :meth:`attach`
     (workers).  The query surface mirrors the function handles —
     :meth:`evaluate_batch`, :meth:`satisfiable_batch`, :meth:`evaluate`,
-    :meth:`sat_count` — but keyed by stored root *name*, and it runs
-    entirely on the mapped arrays: no manager, no node objects, no
-    copies.  Also poses as enough of a manager (``var_index`` /
-    ``var_name`` / ``num_vars``) for the :mod:`repro.serve.bulk`
-    encoders to resolve assignments against it directly.
+    :meth:`sat_count`, :meth:`p_one`, :meth:`marginals` — but keyed by
+    stored root *name*; each looks up the root's edge (:meth:`edge`) and
+    calls the function the managers' handles call, which streams the
+    root's cone off the mapped arrays: no manager, no node objects, no
+    copies.  The manager side it poses as (``batch_stream``, the edge
+    tests, ``support_edge``, ``order``, ``num_vars``, ``var_index``,
+    ``var_name``) is what those functions read.
     """
 
     def __init__(self, shm, owner: bool) -> None:
@@ -197,7 +206,6 @@ class ShmForest:
         self._unlinked = False
         self._closed = False
         self._views: List[memoryview] = []
-        self._memos: Optional[Dict[int, int]] = None
         try:
             buf = shm.buf
             magic, meta_len, n = _HEADER.unpack_from(buf, 0)
@@ -210,19 +218,18 @@ class ShmForest:
             self._meta = meta
             self._n = n
             self._names: List[str] = list(meta["names"])
-            self._order: List[int] = list(meta["order"])
+            self.order = ChainVariableOrder(meta["order"])
             self._roots: Dict[str, int] = {
                 name: int(ref) for name, ref in meta["roots"].items()
             }
-            self._supports: Dict[str, frozenset] = {
-                name: frozenset(vars_) for name, vars_ in meta["supports"].items()
+            # Supports keyed by root slot; names sharing a slot share it.
+            self._supports: Dict[int, frozenset] = {
+                abs(self._roots[name]): frozenset(vars_)
+                for name, vars_ in meta["supports"].items()
             }
             self._index: Dict[str, int] = {
                 name: i for i, name in enumerate(self._names)
             }
-            self._positions: List[int] = [0] * len(self._order)
-            for pos, var in enumerate(self._order):
-                self._positions[var] = pos
             base = _align8(_HEADER.size + meta_len)
             span = 8 * n
             arrays = []
@@ -389,14 +396,24 @@ class ShmForest:
             return self._names[index]
         raise VariableError(f"variable index {index} out of range")
 
-    def support(self, name: str) -> frozenset:
-        """Variable indices function ``name`` depends on."""
-        self._check_open()
-        self._root(name)
-        return self._supports.get(name, frozenset())
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ParError(
+                f"shared forest {getattr(self, '_name_hint', '')!s} is "
+                "closed (or unlinked); re-attach before querying"
+            )
 
-    def _root(self, name: str) -> int:
-        """The signed root reference of ``name`` (``±1`` = constant)."""
+    # -- the read side of the edge protocol -----------------------------------
+    #
+    # An edge of a frozen forest is a signed slot reference: ``abs(ref)``
+    # is the root slot (``1`` = the sink), a negative sign complements.
+    # That is all the stream-derived queries of repro.serve.bulk and
+    # repro.wmc need, so the name-keyed methods below are a root lookup
+    # plus one call into the code the in-process managers run.
+
+    def edge(self, name: str) -> int:
+        """The signed root reference of function ``name`` (``±1`` = constant)."""
+        self._check_open()
         ref = self._roots.get(name)
         if ref is None:
             stored = ", ".join(sorted(self._roots)) or "<none>"
@@ -405,29 +422,64 @@ class ShmForest:
             )
         return ref
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ParError(
-                f"shared forest {getattr(self, '_name_hint', '')!s} is "
-                "closed (or unlinked); re-attach before querying"
-            )
+    @staticmethod
+    def edge_attr(ref: int) -> bool:
+        """The complement attribute of an edge."""
+        return ref < 0
 
-    # -- sweeps --------------------------------------------------------------
+    @staticmethod
+    def edge_is_sink(ref: int) -> bool:
+        """True iff the edge denotes a constant."""
+        return ref == 1 or ref == -1
 
-    def _items(self) -> Iterator[tuple]:
-        """All stored nodes, parents-first, as cohort-sweep items.
+    @staticmethod
+    def edge_is_false(ref: int) -> bool:
+        """True iff the edge denotes the constant FALSE."""
+        return ref == -1
 
-        The freeze export guarantees a global topological order (slot
-        index ascending = parents before children), so one pass serves
-        any root; nodes unreachable from the swept root simply carry no
-        cohort and cost one dictionary miss each.
+    def support_edge(self, ref: int) -> frozenset:
+        """Variable indices the function at ``ref`` depends on.
+
+        Stored at freeze time for the roots; any other slot takes the
+        primary and secondary variables of its cone.
         """
+        support = self._supports.get(-ref if ref < 0 else ref)
+        if support is None:
+            from repro.api.base import stream_support
+
+            support = stream_support(self.batch_stream([ref])[1])
+        return support
+
+    def batch_stream(self, refs):
+        """The cone union of ``refs``, in slot order (see :class:`DDManager`).
+
+        Slots are numbered parents first, so one forward pass from the
+        smallest root slot finds the cone: a slot is yielded when a root
+        or an already yielded parent marked it.  Keys are slot numbers.
+        """
+        self._check_open()
+        live = bytearray(self._n)
+        root_keys: List[Optional[int]] = []
+        for ref in refs:
+            slot = -ref if ref < 0 else ref
+            if slot == 1:
+                root_keys.append(None)
+            else:
+                root_keys.append(slot)
+                live[slot] = 1
+        return root_keys, self._cone(live)
+
+    def _cone(self, live: bytearray) -> Iterator[tuple]:
+        """Yield the marked slots as 9-tuple items, marking their children."""
         pv, sv, t, f = self._pv, self._sv, self._t, self._f
-        for i in range(2, self._n):
+        find = live.find
+        i = find(1, 2)
+        while i != -1:
             ti = t[i]
             fi = f[i]
             ta = -ti if ti < 0 else ti
             fa = -fi if fi < 0 else fi
+            live[ta] = live[fa] = 1
             svi = sv[i]
             yield (
                 i,
@@ -440,39 +492,13 @@ class ShmForest:
                 fi < 0,
                 None if fa == 1 else pv[fa],
             )
+            i = find(1, i + 1)
 
-    def sweep_encoded(self, name: str, batch, cube: bool = False) -> int:
-        """One cohort sweep of an :class:`~repro.serve.bulk.EncodedBatch`.
+    # -- name-keyed queries --------------------------------------------------
 
-        Returns the raw ``sat_even`` bitset (one answer bit per lane) —
-        the worker hot path: callers slice, sweep and OR lane ranges
-        without materializing bool lists per chunk.
-        """
-        from repro.serve.bulk import cohort_sweep, cube_sweep
-
-        self._check_open()
-        ref = self._root(name)
-        if ref == 1:
-            return batch.full
-        if ref == -1:
-            return 0
-        root = -ref if ref < 0 else ref
-        if cube:
-            sat_even, _ = cube_sweep(
-                root,
-                ref < 0,
-                self._items(),
-                batch.var_bits,
-                batch.known_bits or {},
-                batch.full,
-            )
-        else:
-            sat_even, _ = cohort_sweep(
-                root, ref < 0, self._items(), batch.var_bits, batch.full
-            )
-        return sat_even
-
-    # -- public queries ------------------------------------------------------
+    def support(self, name: str) -> frozenset:
+        """Variable indices function ``name`` depends on."""
+        return self.support_edge(self.edge(name))
 
     def evaluate_batch(self, name: str, assignments, chunk: Optional[int] = None):
         """Evaluate function ``name`` at every assignment, in order.
@@ -482,146 +508,47 @@ class ShmForest:
         covering the support, or a
         :class:`~repro.serve.bulk.ColumnBatch`).
         """
-        from repro.serve.bulk import DEFAULT_CHUNK, _encode, _slice_encoded
+        from repro.serve.bulk import DEFAULT_CHUNK, query_batch
 
-        self._check_open()
-        support = self.support(name)
-        encoded = _encode(self, assignments, support, with_known=False)
-        if encoded.count == 0:
-            return []
-        chunk = chunk or DEFAULT_CHUNK
-        results: List[bool] = []
-        for start in range(0, encoded.count, chunk):
-            stop = min(start + chunk, encoded.count)
-            part = encoded if stop - start == encoded.count else _slice_encoded(
-                encoded, start, stop
-            )
-            results.extend(part.unpack(self.sweep_encoded(name, part)))
-        return results
+        return query_batch(
+            self, self.edge(name), assignments, chunk=chunk or DEFAULT_CHUNK
+        )
 
     def satisfiable_batch(self, name: str, assignments, chunk: Optional[int] = None):
         """For each partial assignment: is ``name ∧ cube`` satisfiable?"""
-        from repro.serve.bulk import DEFAULT_CHUNK, _encode, _slice_encoded
+        from repro.serve.bulk import DEFAULT_CHUNK, query_batch
 
-        self._check_open()
-        self._root(name)
-        encoded = _encode(self, assignments, None, with_known=True)
-        if encoded.count == 0:
-            return []
-        chunk = chunk or DEFAULT_CHUNK
-        results: List[bool] = []
-        for start in range(0, encoded.count, chunk):
-            stop = min(start + chunk, encoded.count)
-            part = encoded if stop - start == encoded.count else _slice_encoded(
-                encoded, start, stop
-            )
-            results.extend(part.unpack(self.sweep_encoded(name, part, cube=True)))
-        return results
+        return query_batch(
+            self, self.edge(name), assignments, cube=True, chunk=chunk or DEFAULT_CHUNK
+        )
 
     def evaluate(self, name: str, assignment: Mapping) -> bool:
         """Evaluate function ``name`` at one assignment mapping."""
         return self.evaluate_batch(name, [assignment])[0]
 
-    # -- sat counting --------------------------------------------------------
-
     def sat_count(self, name: str) -> int:
-        """Satisfying assignments of ``name`` over all variables.
+        """Satisfying assignments of ``name`` over all variables."""
+        from repro.wmc.sweep import sat_count_edge
 
-        The first call counts every stored slot at once with the
-        in-process kernel (:func:`repro.wmc.sweep.sat_counts` over
-        :meth:`_items`) and keeps the counts for later names.
-        """
-        from repro.wmc.sweep import sat_counts
-
-        self._check_open()
-        ref = self._root(name)
-        full = 1 << len(self._names)
-        if ref == 1 or ref == -1:
-            return full if ref == 1 else 0
-        if self._memos is None:
-            self._memos = sat_counts(list(self._items()), len(self._names))
-        count = self._memos[-ref if ref < 0 else ref]
-        return full - count if ref < 0 else count
-
-    # -- weighted counting ---------------------------------------------------
-
-    def _weighted(self, name: str, w1, w0, one, zero):
-        """One zero-copy mass sweep straight off the segment arrays."""
-        from repro.wmc import _count_sweeps
-        from repro.wmc.sweep import mass_sweep, total_mass
-
-        self._check_open()
-        ref = self._root(name)
-        _count_sweeps()
-        if ref == 1:
-            return total_mass(w1, w0, one)
-        if ref == -1:
-            return zero
-        root = -ref if ref < 0 else ref
-        return mass_sweep(
-            root,
-            ref < 0,
-            self._items(),
-            order=self._order,
-            positions=self._positions,
-            w1=w1,
-            w0=w0,
-            one=one,
-            zero=zero,
-        )
+        return sat_count_edge(self, self.edge(name))
 
     def weighted_count(self, name: str, weights=None, *, exact: bool = True):
-        """Weighted model count of function ``name`` (see :mod:`repro.wmc`).
+        """Weighted model count of function ``name`` (see :mod:`repro.wmc`)."""
+        from repro.wmc import weighted_count_of
 
-        Runs the levelized mass sweep directly over the shared arrays —
-        no manager, no decode, safe from any attached process.
-        """
-        from repro.wmc.sweep import resolve_weights
-
-        w1, w0, one, zero = resolve_weights(
-            self, weights, probabilities=False, exact=exact
-        )
-        return self._weighted(name, w1, w0, one, zero)
+        return weighted_count_of(self, self.edge(name), weights, exact=exact)
 
     def p_one(self, name: str, weights=None, *, exact: bool = True):
         """``p(name = 1)`` under independent per-variable probabilities."""
-        from repro.wmc.sweep import resolve_weights
+        from repro.wmc import p_one_of
 
-        w1, w0, one, zero = resolve_weights(
-            self, weights, probabilities=True, exact=exact
-        )
-        return self._weighted(name, w1, w0, one, zero)
+        return p_one_of(self, self.edge(name), weights, exact=exact)
 
     def marginals(self, name: str, weights=None, variables=None, *, exact: bool = True):
-        """Posterior marginals ``p(v = 1 | name = 1)`` per support variable.
+        """Posterior marginals ``p(v = 1 | name = 1)`` per support variable."""
+        from repro.wmc import marginals_of
 
-        One :func:`repro.wmc.sweep.joint_sweep` over the segment arrays,
-        the kernel in-process managers use (see :func:`repro.wmc.marginals`).
-        """
-        from repro.wmc import _count_sweeps, _marginal_indices, _posteriors
-        from repro.wmc.sweep import joint_sweep, resolve_weights
-
-        w1, w0, one, zero = resolve_weights(
-            self, weights, probabilities=True, exact=exact
-        )
-        self._check_open()
-        ref = self._root(name)
-        indices = _marginal_indices(self, variables, sorted(self.support(name)))
-        _count_sweeps(2)
-        if ref == 1 or ref == -1:
-            return _posteriors(self, one if ref == 1 else zero, w1, indices)
-        p, joint = joint_sweep(
-            -ref if ref < 0 else ref,
-            ref < 0,
-            self._items(),
-            order=self._order,
-            positions=self._positions,
-            w1=w1,
-            w0=w0,
-            one=one,
-            zero=zero,
-        )
-        return _posteriors(self, p, joint, indices)
+        return marginals_of(self, self.edge(name), weights, variables, exact=exact)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -645,7 +572,6 @@ class ShmForest:
         self._closed = True
         self._name_hint = self._shm.name
         self._pv = self._sv = self._t = self._f = None
-        self._memos = None
         self._release_views()
         try:
             self._shm.close()

@@ -43,9 +43,14 @@ consecutive couples: taking a branch at a chain node ``(pv, sv)`` pins
 the value of ``sv``, which is tested next exactly when the child's PV
 is ``sv``.  The same stream numbered in order is the shared-memory
 column layout (:meth:`~repro.api.base.DDManager.freeze_export`), and
-walked in reverse it is the exact model count.  Backends without a
-structural stream fall back to the per-query loop in
-:class:`~repro.api.base.DDManager`.
+walked in reverse it is the exact model count.
+
+Every batch query runs through :func:`evaluate_batch_edges` /
+:func:`satisfiable_batch_edges` on a ``(source, edge)`` pair — the
+source a manager or a frozen :class:`repro.par.shm.ShmForest`, whose
+``batch_stream`` yields the edge's cone straight off the shared
+columns — and :func:`query_batch` splits large batches into chunks.
+Sources without a structural stream fall back to a per-query loop.
 """
 
 from __future__ import annotations
@@ -528,6 +533,8 @@ def encode_columns(
 
 def _slice_encoded(batch: EncodedBatch, start: int, stop: int) -> EncodedBatch:
     """A lane-range view of an encoded batch (used for chunking)."""
+    if start == 0 and stop == batch.count:
+        return batch
     stride = batch.stride
     lo = start * stride
     mask = (1 << ((stop - start) * stride)) - 1
@@ -560,32 +567,89 @@ def _encode(manager, assignments, support, with_known: bool) -> EncodedBatch:
 # ----------------------------------------------------------------------
 
 
+def evaluate_batch_edges(source, edge, batch: EncodedBatch) -> List[bool]:
+    """Evaluate ``edge`` of ``source`` at every query of one encoded batch.
+
+    ``source`` is a manager or a frozen
+    :class:`repro.par.shm.ShmForest`.  With a ``batch_stream`` this is
+    the levelized cohort sweep over the edge's cone —
+    ``O(nodes + queries)``; without one it degrades to the looped
+    ``O(nodes × queries)`` walk per query.
+    """
+    stream = source.batch_stream([edge])
+    if stream is None:
+        evaluate = source.evaluate_edge
+        return [
+            evaluate(edge, values)
+            for values in batch.iter_value_dicts(source.num_vars)
+        ]
+    (root_key,), items = stream
+    sat_even, _sat_odd = cohort_sweep(
+        root_key, source.edge_attr(edge), items, batch.var_bits, batch.full
+    )
+    return batch.unpack(sat_even)
+
+
+def satisfiable_batch_edges(source, edge, batch: EncodedBatch) -> List[bool]:
+    """Cube satisfiability of ``edge`` for every query of one encoded batch.
+
+    With a ``batch_stream``, unconstrained queries flow into both
+    branches of one :func:`cube_sweep`; the fallback restricts the
+    edge by each cube and checks the cofactor against the 0-sink.
+    """
+    stream = source.batch_stream([edge])
+    if stream is None:
+        results = []
+        with source.defer_gc():
+            for values in batch.iter_known_dicts():
+                cofactor = edge
+                for var, value in values.items():
+                    cofactor = source.restrict_edge(cofactor, var, value)
+                results.append(not source.edge_is_false(cofactor))
+        return results
+    (root_key,), items = stream
+    sat_even, _sat_odd = cube_sweep(
+        root_key,
+        source.edge_attr(edge),
+        items,
+        batch.var_bits,
+        batch.known_bits or {},
+        batch.full,
+    )
+    return batch.unpack(sat_even)
+
+
+def query_batch(
+    source, edge, assignments, *, cube: bool = False, chunk: int = DEFAULT_CHUNK
+) -> List[bool]:
+    """Answer a whole batch against ``edge`` of ``source``, in order.
+
+    ``assignments`` is an iterable of mappings, a :class:`ColumnBatch`
+    or an already encoded batch.  Complete-assignment queries
+    (``cube=False``) must cover the edge's support; cube queries may
+    be partial.  ``chunk`` bounds how many queries share one sweep (and
+    therefore the cohort bitset sizes parked on the level frontier).
+    """
+    support = None if cube else source.support_edge(edge)
+    encoded = _encode(source, assignments, support, with_known=cube)
+    sweep = satisfiable_batch_edges if cube else evaluate_batch_edges
+    results: List[bool] = []
+    for start in range(0, encoded.count, chunk):
+        stop = min(start + chunk, encoded.count)
+        results.extend(sweep(source, edge, _slice_encoded(encoded, start, stop)))
+    return results
+
+
 def evaluate_batch(f, assignments, chunk: int = DEFAULT_CHUNK) -> List[bool]:
     """Evaluate ``f`` at every assignment with one sweep per chunk.
 
     ``assignments`` is an iterable of mappings (each must cover the
     function's support, like :meth:`FunctionBase.evaluate
     <repro.api.base.FunctionBase.evaluate>`) or a :class:`ColumnBatch`.
-    Returns one ``bool`` per assignment, in order.  ``chunk`` bounds
-    how many queries share one sweep (and therefore the cohort bitset
-    sizes parked on the level frontier).
+    Returns one ``bool`` per assignment, in order (see
+    :func:`query_batch`).
     """
-    manager = f.manager
-    edge = f.edge
-    support = manager.support_edge(edge)
-    encoded = _encode(manager, assignments, support, with_known=False)
-    if encoded.count == 0:
-        return []
-    if manager.edge_is_sink(edge):
-        return [not manager.edge_attr(edge)] * encoded.count
-    results: List[bool] = []
-    for start in range(0, encoded.count, chunk):
-        stop = min(start + chunk, encoded.count)
-        part = encoded if stop - start == encoded.count else _slice_encoded(
-            encoded, start, stop
-        )
-        results.extend(manager.evaluate_batch_edges(edge, part))
-    return results
+    return query_batch(f.manager, f.edge, assignments, chunk=chunk)
 
 
 def satisfiable_batch(f, assignments, chunk: int = DEFAULT_CHUNK) -> List[bool]:
@@ -596,18 +660,4 @@ def satisfiable_batch(f, assignments, chunk: int = DEFAULT_CHUNK) -> List[bool]:
     branches, so the whole batch still needs only one top-down sweep.
     ``f.satisfiable_batch([{}])`` is ``[not f.is_false]``.
     """
-    manager = f.manager
-    edge = f.edge
-    encoded = _encode(manager, assignments, None, with_known=True)
-    if encoded.count == 0:
-        return []
-    if manager.edge_is_sink(edge):
-        return [not manager.edge_attr(edge)] * encoded.count
-    results: List[bool] = []
-    for start in range(0, encoded.count, chunk):
-        stop = min(start + chunk, encoded.count)
-        part = encoded if stop - start == encoded.count else _slice_encoded(
-            encoded, start, stop
-        )
-        results.extend(manager.satisfiable_batch_edges(edge, part))
-    return results
+    return query_batch(f.manager, f.edge, assignments, cube=True, chunk=chunk)

@@ -18,11 +18,12 @@ right choice for tests, small deployments, and platforms where
 spawning is expensive; it still provides the forest cache, sharding
 and result cache.
 
-With **shared memory** on (the default wherever
-``multiprocessing.shared_memory`` works), the dispatcher loads each
-dump once, freezes it into a :class:`repro.par.shm.ShmForest` segment
-and the workers *attach* instead of holding private copies — memory
-per added worker is O(1) in the forest size.  A dump file that changes
+With workers, wherever ``multiprocessing.shared_memory`` works, the
+dispatcher loads each dump once, freezes it into a
+:class:`repro.par.shm.ShmForest` segment and the workers *attach*
+instead of holding private copies — memory per added worker is O(1) in
+the forest size; a forest that cannot freeze is served from private
+copies instead.  A dump file that changes
 on disk is re-frozen under a bumped generation number and the old
 segment retired, so serving hot-reloads without a restart.  Worker
 processes that die mid-batch are detected, respawned (re-attaching
@@ -298,12 +299,11 @@ class ForestPool:
         across the workers.
     timeout:
         Seconds to wait for a worker reply before declaring it dead.
-    shared_memory:
-        ``True`` freezes each dump into a shared-memory segment the
-        workers attach zero-copy; ``False`` keeps private per-worker
-        copies; ``None`` (default) enables sharing whenever the
-        platform supports it and the pool has workers.  Forests whose
-        backend cannot freeze fall back to private copies per path.
+
+    With workers, on a platform with ``multiprocessing.shared_memory``,
+    each dump is frozen into a shared-memory segment the workers attach
+    zero-copy (``shared_memory`` is then True).  A forest that cannot
+    freeze falls back to private per-worker copies, per path.
     """
 
     def __init__(
@@ -313,7 +313,6 @@ class ForestPool:
         cache_size: int = 4096,
         shard_size: int = DEFAULT_SHARD,
         timeout: float = 120.0,
-        shared_memory: Optional[bool] = None,
     ) -> None:
         if workers is None:
             workers = min(4, os.cpu_count() or 1)
@@ -336,11 +335,9 @@ class ForestPool:
         self._cond = threading.Condition()
         self._host: Optional[ForestHost] = None
         self._crew: Optional[WorkerCrew] = None
-        if shared_memory is None:
-            from repro.par.shm import shm_available
+        from repro.par.shm import shm_available
 
-            shared_memory = workers > 0 and shm_available()
-        self.shared_memory = bool(shared_memory) and workers > 0
+        self.shared_memory = workers > 0 and shm_available()
         # path -> {"forest": ShmForest, "sig": (mtime_ns, size),
         #          "generation": int}.  The dispatcher owns the frozen
         # segments; workers attach them by name on demand.

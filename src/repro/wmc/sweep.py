@@ -24,8 +24,12 @@ handled with prefix products in O(1) per edge.
 :func:`joint_sweep` adds a backward pass to the same forward pass and
 returns every joint ``p(f = 1, v = 1)`` at once, which the posterior
 marginals divide by ``p(f = 1)``.  :func:`sat_counts` is the plain
-model count as one exact integer pass over the reversed stream; every
-in-process backend and :class:`repro.par.shm.ShmForest` count with it.
+model count as one exact integer pass over the reversed stream.
+
+:func:`sat_count_edge` and :func:`weighted_count_edge` run these
+kernels on one ``(source, edge)`` pair, where the source is a manager
+or a frozen :class:`repro.par.shm.ShmForest` (whose edges are signed
+slot references); every count of every backend goes through them.
 
 Arithmetic is generic over the scalar type: exact mode runs on
 :class:`fractions.Fraction` (bit-exact results, the differential-oracle
@@ -38,7 +42,7 @@ per-node memo — linear in the diagram, correct for any backend.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.exceptions import BBDDError
 
@@ -131,33 +135,86 @@ def total_mass(w1: Sequence, w0: Sequence, one):
     return total
 
 
-def level_stream(manager, edge):
+def level_stream(source, edge):
     """``(root_key, items, order, positions)`` for the sweeps, or None.
 
-    None for constants and for backends without a levelized
+    :param source: a manager or a frozen
+        :class:`repro.par.shm.ShmForest` — anything with the read side
+        of the edge protocol (``batch_stream``, ``order``, ...).
+
+    None for constants and for sources without a levelized
     ``batch_stream`` or a variable order; those take the protocol-pure
     :func:`shannon_count` path instead.
     """
-    order_obj = getattr(manager, "order", None)
-    if order_obj is None or manager.edge_is_sink(edge):
+    order_obj = getattr(source, "order", None)
+    if order_obj is None or source.edge_is_sink(edge):
         return None
-    stream = manager.batch_stream([edge])
+    stream = source.batch_stream([edge])
     if stream is None:
         return None
     (root_key,), items = stream
     order = tuple(order_obj.order)
-    positions = [0] * manager.num_vars
+    positions = [0] * source.num_vars
     for pos, var in enumerate(order):
         positions[var] = pos
     return root_key, items, order, positions
+
+
+def sat_count_edge(source, edge) -> int:
+    """Satisfying assignments of ``edge`` over all of ``source``'s variables.
+
+    One exact integer bottom-up count (:func:`sat_counts`) over the
+    reversed ``batch_stream`` of a manager or a frozen
+    :class:`repro.par.shm.ShmForest`; a source without a stream takes
+    :func:`shannon_count` with unit weights.
+    """
+    n = source.num_vars
+    if source.edge_is_sink(edge):
+        return 0 if source.edge_is_false(edge) else 1 << n
+    stream = source.batch_stream([edge])
+    if stream is None:
+        one = Fraction(1)
+        return int(shannon_count(source, edge, [one] * n, [one] * n, one, one - one))
+    (root_key,), items = stream
+    count = sat_counts(list(items), n)[root_key]
+    return (1 << n) - count if source.edge_attr(edge) else count
+
+
+def weighted_count_edge(source, edge, w1: Sequence, w0: Sequence, one, zero):
+    """Weighted model count of ``edge`` (see :mod:`repro.wmc`).
+
+    ``w1``/``w0`` are per-variable weight columns indexed by variable
+    index, ``one``/``zero`` the units of the arithmetic in use
+    (Fractions or floats).  With a levelized stream
+    (:func:`level_stream`) this is the one-pass :func:`mass_sweep`;
+    any other source takes the protocol-pure memoized Shannon recursion
+    (:func:`shannon_count`) — correct without knowing the node layout.
+    """
+    if source.edge_is_sink(edge):
+        return zero if source.edge_is_false(edge) else total_mass(w1, w0, one)
+    stream = level_stream(source, edge)
+    if stream is None:
+        return shannon_count(source, edge, w1, w0, one, zero)
+    root_key, items, order, positions = stream
+    return mass_sweep(
+        root_key,
+        source.edge_attr(edge),
+        items,
+        order=order,
+        positions=positions,
+        w1=w1,
+        w0=w0,
+        one=one,
+        zero=zero,
+    )
 
 
 def sat_counts(items: Sequence[tuple], num_vars: int) -> dict:
     """Model count of every streamed node, over all ``num_vars`` variables.
 
     :param items: a parents-first list of 9-tuple items, as produced by
-        ``batch_stream`` / :meth:`repro.par.shm.ShmForest._items`; it is
-        walked in reverse, so every child is counted before its parents.
+        ``batch_stream``; it is walked in reverse, so every child is
+        counted before its parents.
     :param num_vars: the number of variables the counts range over.
     :returns: ``{key: count}`` for the regular function of each node.
 
@@ -192,11 +249,11 @@ def mass_sweep(
     """Weighted count of one diagram from its levelized item stream.
 
     :param root_key: the node key the stream names as the root (mass is
-        seeded when its item appears, so shared multi-root stores can
-        stream every stored node and non-reachable ones stay massless).
+        seeded when its item appears; streamed nodes the root does not
+        reach stay massless).
     :param root_attr: complement attribute of the root edge.
     :param items: parents-first 9-tuple items as produced by
-        ``batch_stream`` / :meth:`repro.par.shm.ShmForest._items`.
+        ``batch_stream``.
     :param order: variable indices by order position.
     :param positions: order position by variable index.
     :param w1: weight of assigning 1, indexed by variable.
@@ -263,8 +320,8 @@ def mass_sweep(
             slots[lo_key] = slots.get(lo_key, zero) + base * w0[pv]
         m = masses.pop(key, None)
         if m is None:
-            # Stored but unreachable from this root (shared stores
-            # stream every slot): no mass, nothing to do.
+            # Streamed but unreachable from this root (a forest
+            # stream): no mass, nothing to do.
             continue
         p = positions[pv]
         if sv is None:

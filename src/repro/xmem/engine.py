@@ -301,7 +301,7 @@ def restrict_replay(manager, builder, rep, root_ref: int, var: int, value: bool)
     # Only the sub-DAG of this function: a representation may hold a
     # whole loaded forest, and replaying unrelated functions' records
     # (with their ite sub-sweeps) would scale with the forest instead.
-    reachable = rep.reachable_ids([root_ref >> 1])
+    reachable = rep.reachable_ids([root_ref >> 1], manager.node_budget)
 
     def mapped(ref: int) -> int:
         child = ref >> 1

@@ -35,7 +35,12 @@ import shutil
 import weakref
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.api.base import DDManager, FunctionBase, install_function_helpers
+from repro.api.base import (
+    DDManager,
+    FunctionBase,
+    install_function_helpers,
+    stream_support,
+)
 from repro.core.exceptions import BBDDError, VariableError
 from repro.core.operations import OP_AND, OP_OR, op_from_name
 from repro.core.order import ChainVariableOrder
@@ -73,7 +78,10 @@ class XmemNode:
         if self.rep is None:
             return 0
         if self._uid is None:
-            self._uid = self.manager._intern_uid(self.rep.digest(self.nid))
+            manager = self.manager
+            self._uid = manager._intern_uid(
+                self.rep.digest(self.nid, manager.node_budget)
+            )
         return self._uid
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -327,10 +335,7 @@ class XmemManager(DDManager):
 
     def restrict_edge(self, edge, var, value: bool):
         index = self.var_index(var)
-        node, attr = edge
-        if node.rep is None or index not in node.rep.support_of(
-            node.nid, self._order.order
-        ):
+        if index not in self.support_edge(edge):
             return edge
         rep, ref = self._unpack(edge)
         return self._run_op(
@@ -351,10 +356,7 @@ class XmemManager(DDManager):
         op = OP_AND if forall else OP_OR
         for var in tuple(variables):
             index = self.var_index(var)
-            node, _attr = edge
-            if node.rep is None or index not in node.rep.support_of(
-                node.nid, self._order.order
-            ):
+            if index not in self.support_edge(edge):
                 continue
             edge = self.apply_edges(
                 self.restrict_edge(edge, index, False),
@@ -418,23 +420,18 @@ class XmemManager(DDManager):
 
     def _iter_cohort_items(self, groups):
         var_at = self._order.order
-        budget = self.node_budget
-        store = self._store
         for rep, offset, nids in groups:
             # Finished representations are pruned to their roots; only
             # a stream of some of them filters out the other cones.
             live = None
             if nids != {ref >> 1 for ref in rep.roots if ref >> 1}:
                 live = set(nids)
-            for index in range(len(rep.levels) - 1, -1, -1):
-                block = rep.levels[index]
-                if block.count == 0:
-                    continue
-                records = rep._ensure(index)
+            levels = range(rep._level_index(max(nids)), -1, -1)
+            for index, records in rep.blocks(levels, self.node_budget):
                 base = rep.starts[index]
-                pos = block.position
+                pos = rep.levels[index].position
                 pv = var_at[pos]
-                for slot in range(block.count):
+                for slot in range(len(records)):
                     sv_delta, neq_ref, eq_ref = records[slot]
                     nid = base + slot
                     if live is not None and nid not in live:
@@ -460,8 +457,6 @@ class XmemManager(DDManager):
                         bool(eq_ref & 1),
                         var_at[rep.pos_of(eq_child)] if eq_child else None,
                     )
-                if store.resident > budget:
-                    rep.spill_block(index)
 
     def sat_one_edge(self, edge) -> Optional[Dict[int, bool]]:
         node, attr = edge
@@ -513,10 +508,15 @@ class XmemManager(DDManager):
         return values
 
     def support_edge(self, edge) -> frozenset:
+        """The primary and secondary variables of the edge's cone stream."""
         node, _attr = edge
         if node.rep is None:
             return frozenset()
-        return node.rep.support_of(node.nid, self._order.order)
+        support = node.rep._supp.get(node.nid)
+        if support is None:
+            support = stream_support(self._iter_cohort_items([(node.rep, 0, {node.nid})]))
+            node.rep._supp[node.nid] = support
+        return support
 
     def root_var(self, edge) -> int:
         node, _attr = edge
@@ -536,7 +536,7 @@ class XmemManager(DDManager):
             if ids == {ref >> 1 for ref in rep.roots if ref >> 1}:
                 total += rep.size  # finished reps are pruned to their roots
             else:
-                total += len(rep.reachable_ids(ids))
+                total += len(rep.reachable_ids(ids, self.node_budget))
         return total
 
     # ------------------------------------------------------------------

@@ -194,6 +194,24 @@ class Levelized:
                 yield (node_id, block.position, record[0], record[1], record[2])
         self.last_use = self.store.next_tick()
 
+    def blocks(self, indices: Iterable[int], budget: int):
+        """Yield ``(index, records)`` for the non-empty levels ``indices``.
+
+        Each block is dropped behind the caller once it moves on while
+        the store's residency exceeds ``budget`` — the streaming readers
+        (the manager's ``batch_stream``, :meth:`digest`,
+        :meth:`reachable_ids`) never revisit a level within one pass, so
+        a pass over a beyond-budget representation stays within it.
+        """
+        store = self.store
+        for index in indices:
+            if self.levels[index].count == 0:
+                continue
+            yield index, self._ensure(index)
+            if store.resident > budget:
+                self.spill_block(index)
+        self.last_use = store.next_tick()
+
     # -- spilling --------------------------------------------------------
 
     def spill_block(self, index: int) -> int:
@@ -235,37 +253,26 @@ class Levelized:
 
     # -- reachability ----------------------------------------------------
 
-    def reachable_ids(self, ids: Iterable[int]) -> Set[int]:
-        seen: Set[int] = set()
-        stack = [i for i in ids if i]
-        while stack:
-            node_id = stack.pop()
-            if node_id in seen:
-                continue
-            seen.add(node_id)
-            _pos, sv_delta, neq_ref, eq_ref = self.full_record(node_id)
-            if sv_delta:
-                for ref in (neq_ref, eq_ref):
-                    child = ref >> 1
-                    if child and child not in seen:
-                        stack.append(child)
+    def reachable_ids(self, ids: Iterable[int], budget: int) -> Set[int]:
+        """Node ids reachable from ``ids`` (sink excluded).
+
+        One marking pass from the highest root's level down (ids
+        strictly decrease along edges), dropping blocks behind it.
+        """
+        seen = {i for i in ids if i}
+        if not seen:
+            return seen
+        top = self._level_index(max(seen))
+        for index, records in self.blocks(range(top, -1, -1), budget):
+            base = self.starts[index]
+            for slot, (sv_delta, neq_ref, eq_ref) in enumerate(records):
+                if sv_delta and base + slot in seen:
+                    seen.add(neq_ref >> 1)
+                    seen.add(eq_ref >> 1)
+        seen.discard(0)
         return seen
 
-    def support_of(self, node_id: int, var_at) -> frozenset:
-        """Support variable indices of the function rooted at ``node_id``."""
-        cached = self._supp.get(node_id)
-        if cached is None:
-            vars_: Set[int] = set()
-            for nid in self.reachable_ids([node_id]):
-                pos, sv_delta, _neq, _eq = self.full_record(nid)
-                vars_.add(var_at[pos])
-                if sv_delta:
-                    vars_.add(var_at[pos + sv_delta])
-            cached = frozenset(vars_)
-            self._supp[node_id] = cached
-        return cached
-
-    def digest(self, node_id: int) -> bytes:
+    def digest(self, node_id: int, budget: int) -> bytes:
         """Content-addressed digest of the sub-DAG at ``node_id``.
 
         A bottom-up Merkle hash over the canonical structure: a node's
@@ -281,23 +288,31 @@ class Levelized:
         digests = self._sigs
         cached = digests.get(node_id)
         if cached is None:
-            # Children always have smaller ids: one ascending pass fills
-            # every missing digest up to node_id.
-            for nid, pos, sv_delta, neq_ref, eq_ref in self.iter_records():
-                if nid > node_id:
-                    break
-                if nid in digests:
-                    continue
-                hasher = blake2b(digest_size=16)
-                if sv_delta == 0:
-                    hasher.update(b"L%d" % pos)
-                else:
-                    hasher.update(
-                        b"C%d,%d,%d,%d," % (pos, sv_delta, neq_ref & 1, eq_ref & 1)
-                    )
-                    hasher.update(digests[neq_ref >> 1] if neq_ref >> 1 else b"S")
-                    hasher.update(digests[eq_ref >> 1] if eq_ref >> 1 else b"S")
-                digests[nid] = hasher.digest()
+            # Children always have smaller ids, and the digests known
+            # are those of ids 1..len(digests): one ascending pass from
+            # the first unknown id fills every one up to node_id,
+            # dropping blocks behind it.
+            first = self._level_index(len(digests) + 1)
+            last = self._level_index(node_id)
+            for index, records in self.blocks(range(first, last + 1), budget):
+                base = self.starts[index]
+                pos = self.levels[index].position
+                for slot, (sv_delta, neq_ref, eq_ref) in enumerate(records):
+                    nid = base + slot
+                    if nid > node_id:
+                        break
+                    if nid in digests:
+                        continue
+                    hasher = blake2b(digest_size=16)
+                    if sv_delta == 0:
+                        hasher.update(b"L%d" % pos)
+                    else:
+                        hasher.update(
+                            b"C%d,%d,%d,%d," % (pos, sv_delta, neq_ref & 1, eq_ref & 1)
+                        )
+                        hasher.update(digests[neq_ref >> 1] if neq_ref >> 1 else b"S")
+                        hasher.update(digests[eq_ref >> 1] if eq_ref >> 1 else b"S")
+                    digests[nid] = hasher.digest()
             cached = digests[node_id]
         return cached
 

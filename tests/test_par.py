@@ -150,6 +150,24 @@ def test_freeze_shares_nodes_across_roots(backend):
         assert forest.node_count == first.node_count()
 
 
+@pytest.mark.parametrize("backend", ["bbdd", "bdd"])
+def test_frozen_stream_is_the_cone(backend):
+    """A frozen root streams its own cone, in slot order, not the segment."""
+    manager, functions, _weights = _misex1(backend)
+    functions = dict(functions, negated=~functions[sorted(functions)[0]])
+    with ShmForest.freeze(manager, functions) as forest:
+        for name, func in sorted(functions.items()):
+            (key,), items = forest.batch_stream([forest.edge(name)])
+            keys = [item[0] for item in items]
+            assert len(keys) == manager.count_nodes([func.edge]) < forest.node_count
+            assert keys == sorted(keys) and keys[0] == key, name
+        names = sorted(functions)[:3]
+        keys, items = forest.batch_stream([forest.edge(name) for name in names])
+        edges = [functions[name].edge for name in names]
+        assert len(list(items)) == manager.count_nodes(edges)
+        assert forest.batch_stream([1, -1])[0] == [None, None]
+
+
 def test_freeze_of_one_root_of_a_shared_xmem_representation():
     """A loaded xmem forest is one representation; freezing one of its
     roots keeps that root's cone only."""

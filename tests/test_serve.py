@@ -595,8 +595,11 @@ def test_pool_stats_expose_forest_counters_inline(forest_path):
     assert stats["forest_hits"] >= 1
 
 
-def test_pool_stats_expose_forest_counters_workers(forest_path):
-    with ForestPool(workers=2, shared_memory=False) as pool:
+def test_pool_stats_expose_forest_counters_workers(forest_path, monkeypatch):
+    # Without shared memory the pool falls back to private copies.
+    monkeypatch.setattr("repro.par.shm.shm_available", lambda: False)
+    with ForestPool(workers=2) as pool:
+        assert pool.shared_memory is False
         pool.warm(forest_path)
         pool.evaluate_batch(forest_path, "f", reference_batch(20, seed=11))
         stats = pool.stats()
@@ -609,7 +612,7 @@ def test_pool_shared_memory_attaches_instead_of_loading(forest_path):
     """Shared-memory pools freeze the dump once; workers never decode it."""
     batch = reference_batch(60, seed=21)
     want = reference_results(forest_path, "f", batch)
-    with ForestPool(workers=2, cache_size=0, shared_memory=True) as pool:
+    with ForestPool(workers=2, cache_size=0) as pool:
         assert pool.shared_memory is True
         assert pool.warm(forest_path) == ["f", "g"]
         assert pool.evaluate_batch(forest_path, "f", batch) == want
@@ -627,7 +630,7 @@ def test_pool_shared_memory_hot_reload(forest_path, tmp_path):
     import time as time_mod
 
     batch = reference_batch(40, seed=23)
-    with ForestPool(workers=2, cache_size=0, shared_memory=True) as pool:
+    with ForestPool(workers=2, cache_size=0) as pool:
         pool.warm(forest_path)
         before = pool.evaluate_batch(forest_path, "g", batch)
         time_mod.sleep(0.01)
@@ -665,7 +668,7 @@ def test_pool_close_unlinks_all_segments(forest_path):
     from repro.par.shm import active_segments
 
     before = set(active_segments())
-    pool = ForestPool(workers=2, cache_size=0, shared_memory=True)
+    pool = ForestPool(workers=2, cache_size=0)
     try:
         pool.warm(forest_path)
         assert set(active_segments()) - before

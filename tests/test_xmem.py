@@ -127,6 +127,11 @@ def test_xmem_spills_under_budget_and_stays_correct():
     for fx, fb in pairs:
         assert fx.sat_count() == fb.sat_count()
     assert mx.stats()["resident_nodes"] <= budget
+    # So do the structural digests behind hashing and the support.
+    for fx, fb in pairs:
+        hash(fx)
+        assert fx.support() == fb.support()
+    assert mx.stats()["resident_nodes"] <= budget
 
 
 def test_xmem_dump_interoperates_with_bbdd_container():
